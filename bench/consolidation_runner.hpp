@@ -1,24 +1,47 @@
-// Shared runner for Tables I–III: the §V-C experiment — four 10 GB VMs on a
+// Runner for Tables I–III: the §V-C experiment — four 10 GB VMs on a
 // 23 GB source host (YCSB/Redis or Sysbench/MySQL), one VM migrated to
-// relieve memory pressure — executed once per technique. Each table binary
-// prints its own column of the result.
+// relieve memory pressure — executed once per technique. The three tables
+// are three views of the same runs.
 #pragma once
 
 #include "bench_common.hpp"
 #include "core/scenarios.hpp"
-#include "run_cache.hpp"
+#include "migration/migration.hpp"
 
 namespace agile::bench {
 
-using ConsolidationRun = CachedRun;
+struct ConsolidationRun {
+  migration::MigrationMetrics migration;
+  double avg_perf = 0;
+};
 
-inline ConsolidationRun run_consolidation_uncached(
-    core::Technique technique, core::scenarios::AppKind app) {
+/// One Tables-I–III sweep point. Tables iterate app (outer) × technique
+/// (inner); `consolidation_points` preserves that order, so point `i` is row
+/// `i / 3`, column `i % 3`.
+struct ConsolidationPoint {
+  core::Technique technique;
+  core::scenarios::AppKind app;
+};
+
+inline std::vector<ConsolidationPoint> consolidation_points() {
+  const core::Technique techniques[] = {core::Technique::kPrecopy,
+                                        core::Technique::kPostcopy,
+                                        core::Technique::kAgile};
+  std::vector<ConsolidationPoint> points;
+  for (core::scenarios::AppKind app :
+       {core::scenarios::AppKind::kYcsb, core::scenarios::AppKind::kOltp}) {
+    for (core::Technique technique : techniques) points.push_back({technique, app});
+  }
+  return points;
+}
+
+inline ConsolidationRun run_consolidation(const ConsolidationPoint& pt) {
   namespace scen = core::scenarios;
   const bool quick = quick_mode();
+  const scen::AppKind app = pt.app;
 
   scen::ConsolidationOptions opt;
-  opt.technique = technique;
+  opt.technique = pt.technique;
   opt.app = app;
   if (quick) {
     opt.host_ram = 3_GiB;
@@ -66,39 +89,6 @@ inline ConsolidationRun run_consolidation_uncached(
   result.migration = sc.migration->metrics();
   result.avg_perf = sc.average_throughput().mean_between(t_mig, t_mig + window_s);
   return result;
-}
-
-inline ConsolidationRun run_consolidation(core::Technique technique,
-                                          core::scenarios::AppKind app) {
-  std::string key = std::string("consolidation_") +
-                    core::technique_name(technique) + "_" +
-                    (app == core::scenarios::AppKind::kYcsb ? "ycsb" : "oltp") +
-                    (quick_mode() ? "_quick" : "");
-  return cached_run(key, [&] { return run_consolidation_uncached(technique, app); });
-}
-
-/// One Tables-I–III sweep point. Tables iterate app (outer) × technique
-/// (inner); `consolidation_points` preserves that order, so point `i` is row
-/// `i / 3`, column `i % 3`.
-struct ConsolidationPoint {
-  core::Technique technique;
-  core::scenarios::AppKind app;
-};
-
-inline std::vector<ConsolidationPoint> consolidation_points() {
-  const core::Technique techniques[] = {core::Technique::kPrecopy,
-                                        core::Technique::kPostcopy,
-                                        core::Technique::kAgile};
-  std::vector<ConsolidationPoint> points;
-  for (core::scenarios::AppKind app :
-       {core::scenarios::AppKind::kYcsb, core::scenarios::AppKind::kOltp}) {
-    for (core::Technique technique : techniques) points.push_back({technique, app});
-  }
-  return points;
-}
-
-inline ConsolidationRun run_consolidation_point(const ConsolidationPoint& pt) {
-  return run_consolidation(pt.technique, pt.app);
 }
 
 }  // namespace agile::bench

@@ -9,8 +9,7 @@
 // simulation-derived lines (decisions, placements, overlap, bytes) and
 // mirrors it to fleet_consolidation_golden.txt — byte-identical for a fixed
 // seed at any AGILE_BENCH_JOBS setting, which the bench_smoke determinism
-// test diffs. Runs are always executed fresh (no run cache: the result is a
-// decision log, not a single-migration CachedRun).
+// test diffs.
 #include <algorithm>
 #include <string>
 
