@@ -84,8 +84,13 @@ void BM_TouchResidentFastPath(benchmark::State& state) {
 }
 BENCHMARK(BM_TouchResidentFastPath);
 
+// Random touches past the reservation; args are VM size and reservation in
+// MiB. At 1 GiB/256 MiB the 512 KiB resident table stays in a per-core L2;
+// at 4 GiB/2 GiB the 4 MiB resident and 8 MiB LRU tables do not, so every
+// eviction sample misses L2 unless the lookahead prefetched it.
 void BM_TouchWithEviction(benchmark::State& state) {
-  MemFixture fx(1_GiB, 256_MiB);
+  MemFixture fx(static_cast<Bytes>(state.range(0)) * 1_MiB,
+                static_cast<Bytes>(state.range(1)) * 1_MiB);
   fx.memory.prefill(fx.memory.page_count(), 0);
   Rng rng(2, "t");
   std::uint32_t tick = 1;
@@ -95,7 +100,7 @@ void BM_TouchWithEviction(benchmark::State& state) {
     fx.ssd->advance(1000);  // keep the device queue from exploding
   }
 }
-BENCHMARK(BM_TouchWithEviction);
+BENCHMARK(BM_TouchWithEviction)->Args({1024, 256})->Args({4096, 2048});
 
 void BM_PagemapWalk(benchmark::State& state) {
   MemFixture fx(1_GiB, 256_MiB);

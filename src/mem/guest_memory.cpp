@@ -340,10 +340,30 @@ PageIndex GuestMemory::pick_victim() {
   const ResidentEntry* const entries = resident_.data();
   const std::uint64_t n = resident_.size();
   const std::uint32_t samples = config_.eviction_samples;
-  ResidentEntry best = entries[rng_.next_below(n)];
-  for (std::uint32_t i = 1; i < samples; ++i) {
-    ResidentEntry cand = entries[rng_.next_below(n)];
-    if (cand.stamp < best.stamp) best = cand;
+  auto oldest_sample = [&](Rng& rng) {
+    ResidentEntry best = entries[rng.next_below(n)];
+    for (std::uint32_t i = 1; i < samples; ++i) {
+      ResidentEntry cand = entries[rng.next_below(n)];
+      if (cand.stamp < best.stamp) best = cand;
+    }
+    return best;
+  };
+  const ResidentEntry best = oldest_sample(rng_);
+
+  // Two-stage lookahead: a copy of rng_ replays the next two picks' draws at
+  // today's resident count. Stage A reads pick k+1's entries (stage B of pick
+  // k-1 prefetched them), guesses its victim and prefetches the per-page
+  // lines evict_page will touch; stage B prefetches pick k+2's entries. The
+  // copy never feeds back into rng_ and a prefetch is only a hint, so a wrong
+  // guess (the count changed, or remove_from_resident moved an entry) costs a
+  // wasted prefetch and victim selection stays bit-identical.
+  Rng ahead = rng_;
+  const PageIndex next = oldest_sample(ahead).page;
+  __builtin_prefetch(&page_lru_[next], 1);
+  __builtin_prefetch(&state_[next], 1);
+  __builtin_prefetch(&slot_[next], 1);
+  for (std::uint32_t i = 0; i < samples; ++i) {
+    __builtin_prefetch(&entries[ahead.next_below(n)]);
   }
   return best.page;
 }

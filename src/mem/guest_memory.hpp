@@ -295,6 +295,11 @@ class GuestMemory {
   void make_resident(PageIndex p, std::uint32_t tick);
   void remove_from_resident(PageIndex p);
   void evict_one();
+  /// Sampled-LRU victim: the oldest of `eviction_samples` random resident
+  /// entries, first minimum wins. Before returning it replays the next two
+  /// picks' draws on a copy of rng_ and prefetches their resident entries
+  /// and the guessed next victim's per-page lines. Hints only: rng_, the
+  /// victim and every slot number are the same as without the lookahead.
   PageIndex pick_victim();
 
   /// Out-of-line continuation of touch() for everything beyond the resident
@@ -336,7 +341,9 @@ class GuestMemory {
   // sampled-eviction loop reads one random cache line per sample instead of
   // chasing the page index through a second cold table; at paper scale both
   // tables are far larger than cache and eviction sampling dominates the
-  // whole simulation, so halving its miss count is a first-order win.
+  // whole simulation, so halving its miss count is a first-order win. The
+  // misses that remain are hidden by pick_victim's lookahead, which
+  // prefetches the entries of the next picks' samples (see pick_victim).
   struct ResidentEntry {
     std::uint32_t page;
     std::uint32_t stamp;

@@ -264,5 +264,152 @@ TEST(GuestMemory, SwapDeviceStatsSeeTraffic) {
   EXPECT_EQ(fx.swap_dev.stats().reads, 1u);
 }
 
+
+// FNV-1a over the eight bytes of `v`.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins sampled-LRU victim selection across every eviction entry point on a
+// memory whose resident table (1 MiB) and per-page LRU table (2 MiB) outgrow
+// a per-core L2, where the eviction path's prefetch lookahead is active. The
+// lookahead replays the next picks' draws on a copy of the RNG and only ever
+// issues prefetch hints, so every state, slot number and counter must match
+// the value recorded before the lookahead existed. Releases between
+// evictions change the resident count under the lookahead's guesses.
+TEST(GuestMemory, VictimOrderIsPinned) {
+  auto ssd = std::make_shared<storage::SsdModel>();
+  swap::LocalSwapDevice swap_dev{"swap0", ssd, 2_GiB};
+  GuestMemoryConfig cfg;
+  cfg.size = 1_GiB;
+  cfg.reservation = 512_MiB;
+  GuestMemory mem(cfg, &swap_dev, Rng(1, "mem"));
+  const std::uint64_t n = mem.page_count();
+  Rng drive(7, "pin");
+  std::uint32_t tick = 1;
+
+  mem.prefill(n, tick);  // dataset load: sequential faults past the reservation
+
+  // Guest faults, with releases (source-side post-copy) between them.
+  for (int i = 0; i < 200'000; ++i) {
+    const PageIndex p = drive.next_below(n);
+    if (i % 101 == 0) {
+      mem.release_page(p);
+      continue;
+    }
+    if (mem.state(p) == PageState::kRemote) continue;
+    mem.touch(p, /*write=*/i % 3 == 0, ++tick);
+  }
+
+  // Migration swap-ins, sequential sweep and random demand reads.
+  std::uint64_t swapped_in = 0;
+  for (PageIndex p = 0; p < n && swapped_in < 20'000; ++p) {
+    if (!mem.is_swapped(p)) continue;
+    mem.swap_in_for_transfer(p, ++tick, /*sequential=*/swapped_in % 4 != 0);
+    ++swapped_in;
+  }
+
+  // Destination-style installs over a range holding every page state.
+  mem.receive_overwrite_range(n / 4, n / 4 + 30'000, ++tick);
+
+  // Reservation shrink, enforced in bounded steps, then a grow.
+  mem.set_reservation(256_MiB);
+  while (mem.over_reservation()) mem.enforce_reservation(4'096);
+  mem.set_reservation(768_MiB);
+  EXPECT_EQ(mem.enforce_reservation(1'000'000), 0u);
+  for (int i = 0; i < 100'000; ++i) {
+    const PageIndex p = drive.next_below(n);
+    if (mem.state(p) == PageState::kRemote) {
+      mem.receive_overwrite(p, ++tick);
+    } else {
+      mem.touch(p, /*write=*/i % 2 == 0, ++tick);
+    }
+  }
+
+  // Targeted evictions interleaved with releases and faults.
+  for (int i = 0; i < 20'000; ++i) {
+    const PageIndex p = drive.next_below(n);
+    if (mem.is_resident(p)) {
+      mem.evict_page(p);
+    } else if (i % 2 == 0) {
+      mem.release_page(p);
+    } else if (mem.state(p) != PageState::kRemote) {
+      mem.touch(p, false, ++tick);
+    }
+  }
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (PageIndex p = 0; p < n; ++p) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(mem.state(p)));
+    h = fnv_mix(h, mem.swap_slot(p));
+  }
+  const MemStats& s = mem.stats();
+  for (std::uint64_t v : {s.minor_faults, s.major_faults, s.swap_ins,
+                          s.swap_outs, s.clean_drops, s.remote_installs}) {
+    h = fnv_mix(h, v);
+  }
+  EXPECT_GT(s.major_faults, 0u);
+  EXPECT_GT(s.swap_outs, 0u);
+  EXPECT_GT(s.clean_drops, 0u);
+  EXPECT_GT(s.remote_installs, 0u);
+  EXPECT_EQ(h, 0xa74c067adf749495ull) << std::hex << "victim-order hash 0x" << h;
+  mem.check_consistency();
+}
+
+TEST(SlotAllocator, FreshSlotsAscendFromZero) {
+  swap::SlotAllocator slots(8);
+  EXPECT_EQ(slots.capacity(), 8u);
+  for (swap::SwapSlot want = 0; want < 8; ++want) {
+    EXPECT_EQ(slots.allocate(), want);
+  }
+  EXPECT_EQ(slots.used(), 8u);
+}
+
+TEST(SlotAllocator, ReleaseReusesLastInFirstOut) {
+  swap::SlotAllocator slots(16);
+  for (int i = 0; i < 6; ++i) slots.allocate();  // slots 0..5
+  slots.release(1);
+  slots.release(4);
+  slots.release(2);
+  EXPECT_EQ(slots.used(), 3u);
+  EXPECT_EQ(slots.allocate(), 2u);
+  EXPECT_EQ(slots.allocate(), 4u);
+  EXPECT_EQ(slots.allocate(), 1u);
+  EXPECT_EQ(slots.allocate(), 6u);  // free list drained: fresh slots resume
+  EXPECT_EQ(slots.used(), 7u);
+}
+
+TEST(SlotAllocator, UsedTracksAllocateAndRelease) {
+  swap::SlotAllocator slots(4);
+  EXPECT_EQ(slots.used(), 0u);
+  const swap::SwapSlot a = slots.allocate();
+  const swap::SwapSlot b = slots.allocate();
+  EXPECT_EQ(slots.used(), 2u);
+  slots.release(a);
+  EXPECT_EQ(slots.used(), 1u);
+  slots.release(b);
+  EXPECT_EQ(slots.used(), 0u);
+  slots.allocate();
+  EXPECT_EQ(slots.used(), 1u);
+}
+
+TEST(SlotAllocatorDeathTest, FullDeviceAborts) {
+  swap::SlotAllocator slots(2);
+  slots.allocate();
+  slots.allocate();
+  EXPECT_DEATH(slots.allocate(), "swap device full");
+}
+
+TEST(SlotAllocatorDeathTest, ReleasingNeverAllocatedSlotAborts) {
+  swap::SlotAllocator slots(8);
+  slots.allocate();  // slot 0
+  EXPECT_DEATH(slots.release(3), "AGILE_CHECK failed");
+  EXPECT_DEATH(slots.release(swap::kNoSlot), "AGILE_CHECK failed");
+}
+
 }  // namespace
 }  // namespace agile::mem
