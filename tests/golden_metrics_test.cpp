@@ -33,10 +33,15 @@ namespace {
 struct GoldenCase {
   Technique technique;
   bool busy;
+  /// Data-path variant: 20% zero pages, four wire streams and fast
+  /// compression, pinning zero-elided runs, zero-page fault answers and
+  /// compressed accounting in every technique.
+  bool data_path = false;
 };
 
 std::string case_name(const GoldenCase& c) {
-  return std::string(technique_name(c.technique)) + (c.busy ? "/busy" : "/idle");
+  return std::string(technique_name(c.technique)) + (c.busy ? "/busy" : "/idle") +
+         (c.data_path ? "/zero-fast-4s" : "");
 }
 
 // A small two-host bed: 1 GiB hosts, 256 MiB VM with a 128 MiB reservation so
@@ -61,6 +66,12 @@ std::string run_case(const GoldenCase& c) {
                c.technique == Technique::kPostcopy)
                   ? SwapBinding::kHostPartition
                   : SwapBinding::kPerVmDevice;
+  migration::MigrationConfig mcfg;
+  if (c.data_path) {
+    spec.zero_page_fraction = 0.2;
+    mcfg.num_streams = 4;
+    mcfg.compression = migration::Compression::kFast;
+  }
   VmHandle& handle = bed.create_vm(spec);
 
   if (c.busy) {
@@ -81,7 +92,7 @@ std::string run_case(const GoldenCase& c) {
   }
   bed.cluster().run_for_seconds(2.0);
 
-  auto migration = bed.make_migration(c.technique, handle);
+  auto migration = bed.make_migration(c.technique, handle, 0, mcfg);
   migration->start();
   double deadline = bed.cluster().now_seconds() + 1200;
   while (!migration->completed() && bed.cluster().now_seconds() < deadline) {
@@ -106,6 +117,10 @@ std::string run_case(const GoldenCase& c) {
      << " dest_minor=" << mem.stats().minor_faults
      << " dest_major=" << mem.stats().major_faults
      << " dest_installs=" << mem.stats().remote_installs;
+  if (c.data_path) {
+    os << " zero_elided=" << m.pages_zero_elided
+       << " compressed_saved=" << m.compressed_bytes_saved;
+  }
   mem.check_consistency();
   return os.str();
 }
@@ -116,6 +131,10 @@ std::string dump_all() {
       {Technique::kPostcopy, false},      {Technique::kPostcopy, true},
       {Technique::kAgile, false},         {Technique::kAgile, true},
       {Technique::kScatterGather, false}, {Technique::kScatterGather, true},
+      {Technique::kPrecopy, false, true},       {Technique::kPrecopy, true, true},
+      {Technique::kPostcopy, false, true},      {Technique::kPostcopy, true, true},
+      {Technique::kAgile, false, true},         {Technique::kAgile, true, true},
+      {Technique::kScatterGather, false, true}, {Technique::kScatterGather, true, true},
   };
   std::string out;
   for (const GoldenCase& c : cases) out += run_case(c) + "\n";
