@@ -1,0 +1,94 @@
+#!/usr/bin/env bash
+# Determinism matrix for the fleet consolidation bench (quick mode).
+#
+# `run` executes each distinct configuration once, into <outdir>/<config>:
+#
+#   off_lanes{1,2,8}  AGILE_STATS unset, AGILE_SIM_LANES = 1, 2, 8
+#   off_jobs2         AGILE_STATS unset, AGILE_BENCH_JOBS = 2
+#   on_lanes{1,2,8}   AGILE_STATS set,   AGILE_SIM_LANES = 1, 2, 8
+#   on_jobs4          AGILE_STATS set,   AGILE_BENCH_JOBS = 4
+#   on_audit          AGILE_STATS set,   AGILE_AUDIT = 1
+#
+# (AGILE_BENCH_JOBS = 1 and AGILE_SIM_LANES = 1 unless named.) Every other
+# mode byte-compares one property over those outputs:
+#
+#   fleet_jobs   FLEET_GOLDEN identical at AGILE_BENCH_JOBS = 1, 2
+#   fleet_lanes  FLEET_GOLDEN identical at AGILE_SIM_LANES = 1, 2, 8
+#   stats_lanes  stats files identical at AGILE_SIM_LANES = 1, 2, 8
+#   stats_jobs   stats files identical at AGILE_BENCH_JOBS = 1, 4
+#   stats_audit  stats files identical with and without AGILE_AUDIT=1
+#   stats_off    with AGILE_STATS unset, FLEET_GOLDEN matches the stats-on
+#                run (instrumentation must not perturb the simulation)
+#
+# Usage: check_fleet_determinism.sh run <fleet_consolidation binary> <outdir>
+#        check_fleet_determinism.sh <mode> <outdir>
+set -euo pipefail
+
+mode=$1
+
+run() {  # run <config> [VAR=VAL ...] — one quick fleet bench into $out/<config>
+  local dir="$out/$1"
+  shift
+  mkdir -p "$dir"
+  env AGILE_BENCH_QUICK=1 AGILE_BENCH_JOBS=1 AGILE_SIM_LANES=1 \
+      AGILE_BENCH_OUT="$dir" "$@" "$bin" > /dev/null
+}
+
+cmp_golden() {  # cmp_golden <config_a> <config_b>
+  cmp "$out/$1/fleet_consolidation_golden.txt" \
+      "$out/$2/fleet_consolidation_golden.txt"
+}
+
+cmp_stats() {  # cmp_stats <config_a> <config_b> — diff every stats artifact
+  local t
+  for t in pre-copy post-copy agile scatter-gather; do
+    cmp "$out/$1/s.fleet_${t}.stats.json" "$out/$2/s.fleet_${t}.stats.json"
+    cmp "$out/$1/s.fleet_${t}.stats.prom" "$out/$2/s.fleet_${t}.stats.prom"
+  done
+}
+
+case "$mode" in
+  run)
+    bin=$2
+    out=$3
+    rm -rf "$out"  # a stale output must never pass a leg
+    for lanes in 1 2 8; do
+      run "off_lanes$lanes" AGILE_SIM_LANES="$lanes"
+      run "on_lanes$lanes" AGILE_SIM_LANES="$lanes" \
+          AGILE_STATS="$out/on_lanes$lanes/s"
+    done
+    run off_jobs2 AGILE_BENCH_JOBS=2
+    run on_jobs4 AGILE_BENCH_JOBS=4 AGILE_STATS="$out/on_jobs4/s"
+    run on_audit AGILE_AUDIT=1 AGILE_STATS="$out/on_audit/s"
+    ;;
+  fleet_jobs)
+    out=$2
+    cmp_golden off_lanes1 off_jobs2
+    ;;
+  fleet_lanes)
+    out=$2
+    cmp_golden off_lanes1 off_lanes2
+    cmp_golden off_lanes1 off_lanes8
+    ;;
+  stats_lanes)
+    out=$2
+    cmp_stats on_lanes1 on_lanes2
+    cmp_stats on_lanes1 on_lanes8
+    ;;
+  stats_jobs)
+    out=$2
+    cmp_stats on_lanes1 on_jobs4
+    ;;
+  stats_audit)
+    out=$2
+    cmp_stats on_lanes1 on_audit
+    ;;
+  stats_off)
+    out=$2
+    cmp_golden on_lanes1 off_lanes1
+    ;;
+  *)
+    echo "unknown mode: $mode" >&2
+    exit 2
+    ;;
+esac

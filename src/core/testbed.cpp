@@ -245,44 +245,41 @@ std::unique_ptr<migration::MigrationManager> Testbed::make_migration_to(
   params.dest_reservation = dest_reservation == 0
                                 ? handle.machine->memory().reservation()
                                 : dest_reservation;
+  std::unique_ptr<migration::MigrationManager> migration;
   switch (technique) {
     case Technique::kPrecopy:
       params.dest_swap = destination->swap_partition();
-      return register_migration(std::make_unique<migration::PrecopyMigration>(
-          &cluster_, params, config));
+      migration = std::make_unique<migration::PrecopyMigration>(&cluster_,
+                                                                params, config);
+      break;
     case Technique::kPostcopy:
       params.dest_swap = destination->swap_partition();
-      return register_migration(std::make_unique<migration::PostcopyMigration>(
-          &cluster_, params, config));
-    case Technique::kAgile: {
-      AGILE_CHECK_MSG(handle.per_vm_swap != nullptr,
-                      "Agile migration needs a per-VM swap device");
+      migration = std::make_unique<migration::PostcopyMigration>(
+          &cluster_, params, config);
+      break;
+    case Technique::kAgile:
+    case Technique::kScatterGather: {
+      AGILE_CHECK_S(handle.per_vm_swap != nullptr)
+          << technique_name(technique) << " migration needs a per-VM swap device";
       params.dest_swap = handle.per_vm_swap;
-      auto migration = std::make_unique<migration::AgileMigration>(&cluster_,
-                                                                   params, config);
+      if (technique == Technique::kAgile) {
+        migration = std::make_unique<migration::AgileMigration>(&cluster_,
+                                                                params, config);
+      } else {
+        migration = std::make_unique<migration::ScatterGatherMigration>(
+            &cluster_, params, config);
+      }
       // Disconnect the per-VM device from the source and attach it at the
       // destination the moment execution flips (paper §IV-B).
-      vmd::VmdSwapDevice* device = handle.per_vm_swap;
-      net::NodeId dest_node = destination->node();
       migration->set_on_switchover(
-          [device, dest_node] { device->attach_to(dest_node); });
-      return register_migration(std::move(migration));
-    }
-    case Technique::kScatterGather: {
-      AGILE_CHECK_MSG(handle.per_vm_swap != nullptr,
-                      "scatter-gather needs a per-VM swap device");
-      params.dest_swap = handle.per_vm_swap;
-      auto migration = std::make_unique<migration::ScatterGatherMigration>(
-          &cluster_, params, config);
-      vmd::VmdSwapDevice* device = handle.per_vm_swap;
-      net::NodeId dest_node = destination->node();
-      migration->set_on_switchover(
-          [device, dest_node] { device->attach_to(dest_node); });
-      return register_migration(std::move(migration));
+          [device = handle.per_vm_swap, dest_node = destination->node()] {
+            device->attach_to(dest_node);
+          });
+      break;
     }
   }
-  AGILE_CHECK_MSG(false, "unknown technique");
-  return nullptr;
+  AGILE_CHECK_MSG(migration != nullptr, "unknown technique");
+  return register_migration(std::move(migration));
 }
 
 ThroughputProbe::ThroughputProbe(host::Cluster* cluster,

@@ -7,7 +7,7 @@ namespace agile::migration {
 
 AgileMigration::AgileMigration(host::Cluster* cluster, MigrationParams params,
                                MigrationConfig config)
-    : MigrationManager(cluster, params, config) {
+    : PostcopyEngine(cluster, params, config) {
   // Agile requires the *same* portable per-VM swap device on both sides:
   // that is what makes the SWAPPED descriptors meaningful at the destination.
   AGILE_CHECK_MSG(params.dest_swap == params.machine->memory().swap_device(),
@@ -27,19 +27,18 @@ void AgileMigration::on_tick(SimTime, SimTime dt, std::uint32_t tick) {
   }
   if (phase_ == Phase::kFlipWait) return;
 
-  SimTime budget = dt - debt_;
-  debt_ = 0;
-  if (budget <= 0) {
-    debt_ = -budget;
-    return;
-  }
-
+  SimTime budget = take_budget(dt);
+  if (budget <= 0) return;
   if (phase_ == Phase::kLiveRound) {
     budget = scan_runs(budget, tick);
   } else if (phase_ == Phase::kPush) {
-    budget = push_runs(budget, tick);
+    // A dirty page re-evicted before its push is read back from the per-VM
+    // device, a remote-memory hit rather than a source SSD read, so those
+    // swap-ins are not counted as pages swapped in at the source.
+    std::uint64_t vmd_reads = 0;
+    budget = push_runs(budget, tick, vmd_reads);
   }
-  if (budget < 0) debt_ = -budget;
+  carry_debt(budget);
 }
 
 SimTime AgileMigration::scan_runs(SimTime budget, std::uint32_t) {
@@ -123,89 +122,13 @@ SimTime AgileMigration::scan_runs(SimTime budget, std::uint32_t) {
   return budget;
 }
 
-SimTime AgileMigration::push_runs(SimTime budget, std::uint32_t tick) {
-  while (budget > 0) {
-    const Bytes backlog = stream_->backlog();
-    if (backlog >= config_.send_window) break;
-    // `sent_` holds only dirty pages as clear bits; the rest is pre-marked,
-    // so a clear run is a run of owed pages.
-    Bitmap::Run run = sent_.next_clear_run(push_cursor_);
-    if (run.empty()) break;
-    const PageIndex p = run.begin;
-    if (source_mem_->state(p) == mem::PageState::kUntouched) {
-      // Descriptor run: uniform cost and no mid-run class changes (nothing
-      // here swaps anything in).
-      const PageIndex limit = source_mem_->state_run_end(p, run.end);
-      std::uint64_t n = limit - p;
-      n = std::min(n, (static_cast<std::uint64_t>(budget) +
-                       config_.page_copy_cost - 1) /
-                          config_.page_copy_cost);
-      n = std::min(n, (config_.send_window - backlog +
-                       config_.descriptor_bytes - 1) /
-                          config_.descriptor_bytes);
-      sent_.set_range(p, p + n);
-      push_cursor_ = p + n;
-      budget -= static_cast<SimTime>(n) * config_.page_copy_cost;
-      metrics_.pages_sent_descriptor += n;
-      metrics_.bytes_transferred += n * config_.descriptor_bytes;
-      stream_->send_batch(n, config_.descriptor_bytes,
-                          [this, p = p](std::uint64_t k) mutable {
-                            for (std::uint64_t i = 0; i < k; ++i) {
-                              deliver_dirty_page(p++);
-                            }
-                          });
-      continue;
-    }
-    // Full-copy stretch (resident or swapped pages). A swap-in can evict
-    // other pages — possibly inside this run — so class and cost are re-read
-    // page by page while the messages coalesce into one batch.
-    PageIndex q = p;
-    std::uint64_t n = 0;
-    while (q < run.end && budget > 0 &&
-           backlog + n * wire_page_bytes() < config_.send_window) {
-      const mem::PageState st = source_mem_->state(q);
-      AGILE_CHECK_MSG(st != mem::PageState::kRemote, "pushing a released page");
-      if (st == mem::PageState::kUntouched) break;
-      // No zero-elision branch here: the push set is exactly the dirty set,
-      // and a guest write clears the zero mark, so dirty pages are never zero.
-      SimTime spent = page_send_cost();
-      if (st == mem::PageState::kSwapped) {
-        // Rare: dirtied during the live round, then evicted again. Reading
-        // the per-VM device is a remote-memory hit, not an SSD seek.
-        spent += source_mem_->swap_in_for_transfer(q, tick);
-      }
-      budget -= spent;
-      ++n;
-      ++q;
-    }
-    account_full_pages(n);
-    sent_.set_range(p, q);
-    push_cursor_ = q;
-    stream_->send_batch(n, wire_page_bytes(),
-                        [this, p = p](std::uint64_t k) mutable {
-                          for (std::uint64_t i = 0; i < k; ++i) {
-                            deliver_dirty_page(p++);
-                          }
-                        });
-  }
-  return budget;
-}
-
 void AgileMigration::end_live_round() {
   metrics_.precopy_rounds = 1;
   begin_suspend();
   source_mem_->detach_dirty_log();
   // Snapshot the dirty set; nothing can dirty pages while suspended.
   dirty_ = dirty_log_;
-  dirty_total_ = dirty_.count();
-  // Pre-mark non-dirty pages as sent so the push sweep only visits the owed set.
-  sent_.reset(page_count(), true);
-  received_.reset(page_count(), false);
-  for (Bitmap::Run r = dirty_.next_set_run(0); !r.empty();
-       r = dirty_.next_set_run(r.end)) {
-    sent_.clear_range(r.begin, r.end);
-  }
-  push_cursor_ = 0;
+  begin_owed(&dirty_);
 
   if (audit::enabled()) {
     // Every page was classified exactly once during the live round: the
@@ -222,16 +145,16 @@ void AgileMigration::end_live_round() {
                       metrics_.pages_sent_descriptor * config_.descriptor_bytes)
         << "live-round byte total does not decompose into page classes";
     dirty_.deep_audit();
-    sent_.deep_audit();
   }
 
+  const std::uint64_t owed = push_owed();
   AGILE_LOG_INFO("agile %s: live round done, %llu dirty pages owed post-flip",
                  params_.machine->name().c_str(),
-                 static_cast<unsigned long long>(dirty_total_));
+                 static_cast<unsigned long long>(owed));
   AGILE_TRACE_SPAN_END("migration", "live_round", trace_id());
   AGILE_TRACE_SPAN_BEGIN("migration", "flip_wait", trace_id());
   AGILE_TRACE_INSTANT("migration", "round_dirty_left", trace_id(),
-                      static_cast<double>(dirty_total_));
+                      static_cast<double>(owed));
 
   // CPU state + the dirty bitmap travel behind every queued page message.
   // Fenced: with multiple streams the flip may not run until every lane has
@@ -241,14 +164,7 @@ void AgileMigration::end_live_round() {
   stream_->send_fenced(flip_bytes, [this] {
     apply_dirty_invalidations();
     handoff_cold_slots();
-    complete_switchover(cluster_->tick_index());
-    AGILE_TRACE_SPAN_END("migration", "flip_wait", trace_id());
-    AGILE_TRACE_SPAN_BEGIN("migration", "push", trace_id());
-    params_.machine->set_remote_fault_handler(
-        [this](PageIndex p, bool write, std::uint32_t t) {
-          return handle_fault(p, write, t);
-        });
-    if (on_switchover_) on_switchover_();
+    flip_to_push("flip_wait");
     phase_ = Phase::kPush;
     set_phase(3, "push");
     maybe_finish();  // a write-free live round leaves nothing owed
@@ -277,61 +193,12 @@ void AgileMigration::apply_dirty_invalidations() {
   }
 }
 
-void AgileMigration::deliver_dirty_page(PageIndex p) {
-  AGILE_DCHECK(dirty_.test(p)) << "push delivered page " << p
-                               << " outside the dirty set";
-  if (received_.test(p)) {
-    ++metrics_.duplicate_pages;
-  } else {
-    received_.set(p);
-    if (source_mem_->state(p) == mem::PageState::kUntouched) {
-      dest_mem_->install_untouched(p);
-    } else {
-      dest_mem_->install_resident(p, cluster_->tick_index());
-    }
-  }
-  source_mem_->release_page(p);
-  maybe_finish();
-}
-
-SimTime AgileMigration::handle_fault(PageIndex p, bool, std::uint32_t tick) {
+SimTime AgileMigration::handle_fault(PageIndex p, std::uint32_t tick) {
   // Only pages dirtied during the live round can still be kRemote at the
   // destination; cold pages were installed as locally-swapped and take the
   // ordinary swap-in path against the per-VM device.
   AGILE_CHECK_MSG(dirty_.test(p), "remote fault outside the dirty set");
-  AGILE_CHECK(!received_.test(p));
-  SimTime latency = config_.fault_overhead;
-  net::Network& net = cluster_->network();
-  net::NodeId dst = params_.dest->node();
-  net::NodeId src = params_.source->node();
-
-  mem::PageState st = source_mem_->state(p);
-  AGILE_CHECK(st != mem::PageState::kRemote);
-  if (st == mem::PageState::kSwapped) {
-    latency += source_mem_->swap_in_for_transfer(p, tick, /*sequential=*/false);
-    st = mem::PageState::kResident;
-  }
-  if (st == mem::PageState::kUntouched) {
-    latency += net.rpc_latency(dst, src, config_.descriptor_bytes);
-    net.consume_background(dst, src, config_.descriptor_bytes);
-    net.consume_background(src, dst, config_.descriptor_bytes);
-    metrics_.bytes_transferred += config_.descriptor_bytes;
-    dest_mem_->install_untouched(p);
-  } else {
-    latency += net.rpc_latency(dst, src, full_page_bytes());
-    net.consume_background(dst, src, config_.descriptor_bytes);
-    net.consume_background(src, dst, full_page_bytes());
-    metrics_.bytes_transferred += full_page_bytes();
-    dest_mem_->install_resident(p, tick);
-  }
-  sent_.set(p);
-  received_.set(p);
-  ++metrics_.pages_demand_served;
-  AGILE_TRACE_INSTANT("migration", "demand_fault", trace_id(),
-                      static_cast<double>(p));
-  source_mem_->release_page(p);
-  maybe_finish();
-  return latency;
+  return serve_remote_fault(p, tick);
 }
 
 void AgileMigration::handoff_cold_slots() {
@@ -357,23 +224,10 @@ void AgileMigration::handoff_cold_slots() {
 }
 
 void AgileMigration::maybe_finish() {
-  if (phase_ != Phase::kPush || received_.count() != dirty_total_) return;
-  if (audit::enabled()) {
-    // Completion implies the owed set drained exactly: every page is marked
-    // sent and every received page was owed.
-    AGILE_CHECK_S(sent_.count() == page_count())
-        << "finishing with " << page_count() - sent_.count() << " unsent pages";
-    received_.deep_audit();
-  }
+  if (phase_ != Phase::kPush || !push_drained()) return;
   phase_ = Phase::kDone;
   set_phase(4, "done");
-  AGILE_TRACE_SPAN_END("migration", "push", trace_id());
-  params_.machine->clear_remote_fault_handler();
-  // Reclaim what the source still holds: frames, swap-cache copies of pages
-  // that were sent in full, and re-evicted dirty pages' slots. None of these
-  // are referenced by the destination (see handoff_cold_slots).
-  source_mem_->teardown(/*free_slots=*/true);
-  finish();
+  finish_push();
 }
 
 }  // namespace agile::migration

@@ -7,9 +7,9 @@
 // round the VM flips to the destination (CPU state + dirty bitmap), which
 // then fills the remainder two ways:
 //
-//   * pages dirtied during the live round: active push from the source plus
-//     network demand paging, exactly like post-copy but over a set the size
-//     of the *write* working set rather than the whole VM;
+//   * pages dirtied during the live round: post-copy's own active push and
+//     network demand paging (`PostcopyEngine`), over a set the size of the
+//     *write* working set rather than the whole VM;
 //   * cold pages: demand-paged straight from the portable per-VM swap device
 //     (VMD) — they never cross the source link at all. These arrive through
 //     the normal swap-in path (the descriptor made them look locally
@@ -20,36 +20,25 @@
 // and everything else at the source is reclaimed.
 #pragma once
 
-#include <functional>
+#include <vector>
 
-#include "migration/migration.hpp"
+#include "migration/postcopy.hpp"
 
 namespace agile::migration {
 
-class AgileMigration final : public MigrationManager {
+class AgileMigration final : public PostcopyEngine {
  public:
   AgileMigration(host::Cluster* cluster, MigrationParams params,
                  MigrationConfig config);
 
   const char* technique() const override { return "agile"; }
 
-  /// Invoked at switchover — the core layer uses it to re-attach the
-  /// portable per-VM swap device to the destination host.
-  void set_on_switchover(std::function<void()> fn) {
-    on_switchover_ = std::move(fn);
-  }
-
-  /// Dirty pages still owed to the destination (0 once push completes).
-  std::uint64_t dirty_remaining() const {
-    return dirty_total_ - received_.count();
-  }
-
   /// Live round: pages not yet scanned; after the flip: the dirty debt.
   std::uint64_t pages_owed() const override {
     if (phase_ == Phase::kInit || phase_ == Phase::kLiveRound) {
       return page_count() - cursor_;
     }
-    return dirty_remaining();
+    return push_owed();
   }
 
  protected:
@@ -58,32 +47,24 @@ class AgileMigration final : public MigrationManager {
  private:
   enum class Phase { kInit, kLiveRound, kFlipWait, kPush, kDone };
 
-  /// Run-batched live-round scan / post-flip push; each consumes `budget`
-  /// thread time and returns what is left (negative = overdrawn into debt).
+  /// Run-batched live-round scan; consumes `budget` thread time and returns
+  /// what is left (negative = overdrawn into debt).
   SimTime scan_runs(SimTime budget, std::uint32_t tick);
-  SimTime push_runs(SimTime budget, std::uint32_t tick);
   void end_live_round();
   void apply_dirty_invalidations();
   void handoff_cold_slots();
-  SimTime handle_fault(PageIndex p, bool write, std::uint32_t tick);
-  void deliver_dirty_page(PageIndex p);
-  void maybe_finish();
+  SimTime handle_fault(PageIndex p, std::uint32_t tick) override;
+  void maybe_finish() override;
 
   Phase phase_ = Phase::kInit;
   Bitmap dirty_log_;          ///< Writes during the live round.
   Bitmap installed_swapped_;  ///< Dest pages installed from SWAPPED descriptors.
   Bitmap dirty_;              ///< Snapshot at suspension: pages owed post-flip.
-  Bitmap sent_;               ///< Dirty pages enqueued/served.
-  Bitmap received_;           ///< Dirty pages the destination holds.
   /// Swap slot of each page as read from the PTE during the live round; the
   /// batched descriptor sends deliver from this buffer (the source may have
   /// dropped the slot by delivery time).
   std::vector<swap::SwapSlot> slot_at_scan_;
-  std::uint64_t dirty_total_ = 0;
-  std::uint64_t cursor_ = 0;       ///< Live-round scan position.
-  std::uint64_t push_cursor_ = 0;  ///< Push-phase scan position.
-  SimTime debt_ = 0;
-  std::function<void()> on_switchover_;
+  std::uint64_t cursor_ = 0;  ///< Live-round scan position.
 };
 
 }  // namespace agile::migration

@@ -1,5 +1,6 @@
 #include "migration/migration.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "trace/trace.hpp"
@@ -70,6 +71,91 @@ void MigrationManager::account_full_pages(std::uint64_t n) {
 
 bool MigrationManager::zero_elidable(PageIndex p) const {
   return source_mem_->is_zero_page(p);
+}
+
+SimTime MigrationManager::take_budget(SimTime dt) {
+  const SimTime budget = dt - debt_;
+  debt_ = budget < 0 ? -budget : 0;
+  return budget;
+}
+
+MigrationManager::Stretch MigrationManager::take_stretch(PageIndex p,
+                                                         PageIndex run_end,
+                                                         SimTime& budget,
+                                                         Bytes backlog,
+                                                         std::uint32_t tick) {
+  const Bytes desc = config_.descriptor_bytes;
+  const SimTime cost = config_.page_copy_cost;
+  Stretch s;
+  if (source_mem_->state(p) == mem::PageState::kUntouched) {
+    // Descriptor run: every page costs the same and nothing can change a
+    // page's class mid-run (descriptors trigger no swap-ins), so the whole
+    // run is one batch, capped by the thread budget (ceil: the per-page loop
+    // sent while budget was still positive) and the remaining send window.
+    std::uint64_t n = source_mem_->state_run_end(p, run_end) - p;
+    n = std::min(n, (static_cast<std::uint64_t>(budget) + cost - 1) / cost);
+    n = std::min(n, (config_.send_window - backlog + desc - 1) / desc);
+    budget -= static_cast<SimTime>(n) * cost;
+    s.end = p + n;
+  } else if (zero_elidable(p)) {
+    // Zero-page elision run: touched pages whose content is all zeroes
+    // travel as descriptors and install as untouched (the canonical zero
+    // page). Classification is read-only, so no page changes class mid-run;
+    // swapped zero pages skip the swap-in (no data is read).
+    PageIndex q = p;
+    while (q < run_end && budget > 0 &&
+           backlog + (q - p) * desc < config_.send_window && zero_elidable(q)) {
+      budget -= cost;
+      ++q;
+    }
+    s.end = q;
+    metrics_.pages_zero_elided += q - p;
+  } else {
+    // Full-copy stretch (resident or swapped pages). A swap-in can evict
+    // other pages of this very VM — possibly inside this run — so class and
+    // cost are re-read page by page; the messages still share one batch.
+    PageIndex q = p;
+    while (q < run_end && budget > 0 &&
+           backlog + (q - p) * wire_page_bytes() < config_.send_window) {
+      const mem::PageState st = source_mem_->state(q);
+      AGILE_CHECK_MSG(st != mem::PageState::kRemote,
+                      "sending an already-released page");
+      if (st == mem::PageState::kUntouched) break;
+      if (zero_elidable(q)) break;  // next stretch elides to a descriptor
+      SimTime spent = page_send_cost();
+      if (st == mem::PageState::kSwapped) {
+        // Must be back in memory before it can be sent.
+        spent += source_mem_->swap_in_for_transfer(q, tick);
+        ++s.swap_ins;
+      }
+      budget -= spent;
+      ++q;
+    }
+    s.end = q;
+    s.full = true;
+    account_full_pages(q - p);
+    return s;
+  }
+  metrics_.pages_sent_descriptor += s.end - p;
+  metrics_.bytes_transferred += (s.end - p) * desc;
+  return s;
+}
+
+SimTime MigrationManager::fault_rpc(Bytes response) {
+  net::Network& net = cluster_->network();
+  const net::NodeId dst = params_.dest->node();
+  const net::NodeId src = params_.source->node();
+  const SimTime latency = net.rpc_latency(dst, src, response);
+  net.consume_background(dst, src, config_.descriptor_bytes);  // request
+  net.consume_background(src, dst, response);
+  metrics_.bytes_transferred += response;
+  return latency;
+}
+
+void MigrationManager::route_remote_faults(
+    vm::VirtualMachine::RemoteFaultHandler handler) {
+  params_.machine->set_remote_fault_handler(std::move(handler));
+  if (on_switchover_) on_switchover_();
 }
 
 void MigrationManager::set_phase(int code, const char* name) {
@@ -168,6 +254,8 @@ void MigrationManager::complete_switchover(std::uint32_t tick) {
 
 void MigrationManager::finish() {
   AGILE_CHECK(!metrics_.completed);
+  params_.machine->clear_remote_fault_handler();
+  source_mem_->teardown(/*free_slots=*/true);
   metrics_.completed = true;
   metrics_.end_time = cluster_->simulation().now();
   if (hook_id_ != 0) {

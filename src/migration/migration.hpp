@@ -127,6 +127,12 @@ class MigrationManager {
     on_destroy_ = std::move(fn);
   }
 
+  /// Fired at the execution flip, once remote faults reach the destination
+  /// (re-attach the portable device, etc.). Pre-copy never fires it.
+  void set_on_switchover(std::function<void()> fn) {
+    on_switchover_ = std::move(fn);
+  }
+
   virtual const char* technique() const = 0;
 
   /// Engine phase for observability: a small engine-defined code plus a
@@ -172,9 +178,38 @@ class MigrationManager {
   /// Marks the VM suspended and remembers when (downtime starts).
   void begin_suspend();
 
-  /// Wraps up: metrics, hook removal, completion callback. Subclasses finish
-  /// source teardown before calling.
+  /// Wraps up: remote faults off, source teardown, metrics, hook removal,
+  /// completion callback.
   void finish();
+
+  /// Routes the VM's remote faults to `handler`, then fires the switchover
+  /// hook. Called right after complete_switchover().
+  void route_remote_faults(vm::VirtualMachine::RemoteFaultHandler handler);
+
+  /// Thread time for this quantum: `dt` minus the carried overdraft (which
+  /// stays owed if that leaves nothing); carry_debt() carries a new one.
+  SimTime take_budget(SimTime dt);
+  void carry_debt(SimTime budget) {
+    if (budget < 0) debt_ = -budget;
+  }
+
+  struct Stretch {
+    PageIndex end = 0;           ///< One past its last page.
+    bool full = false;           ///< Full-page copies, else descriptors.
+    std::uint64_t swap_ins = 0;  ///< Pages swapped in at the source for it.
+  };
+  /// The run classifier: from `p`, the longest stretch of the owed run
+  /// [p, run_end) that has one class (untouched descriptors, zero-elided
+  /// descriptors, or full copies with source swap-ins) and fits the thread
+  /// `budget` and the send window above `backlog`. Charges `budget` and
+  /// accounts pages and bytes; the caller marks its bitmap, sends the batch
+  /// and attributes the swap-ins.
+  Stretch take_stretch(PageIndex p, PageIndex run_end, SimTime& budget,
+                       Bytes backlog, std::uint32_t tick);
+
+  /// A demand-fault RPC to the source answered with `response` bytes:
+  /// charges both directions' traffic, returns the latency.
+  SimTime fault_rpc(Bytes response);
 
   std::uint64_t page_count() const { return params_.machine->page_count(); }
   Bytes full_page_bytes() const { return kPageSize + config_.page_header; }
@@ -215,6 +250,8 @@ class MigrationManager {
   std::uint64_t hook_id_ = 0;
   std::function<void()> on_complete_;
   std::function<void(MigrationManager*)> on_destroy_;
+  std::function<void()> on_switchover_;
+  SimTime debt_ = 0;              ///< Thread time overdrawn last quantum.
   Bytes wire_page_bytes_ = 0;     ///< Cached: header + compressed page body.
   SimTime page_send_cost_ = 0;    ///< Cached: copy + compression µs per page.
 };

@@ -5,131 +5,63 @@
 
 namespace agile::migration {
 
-void PostcopyMigration::on_tick(SimTime, SimTime dt, std::uint32_t tick) {
-  if (phase_ == Phase::kInit) {
-    // "Upon beginning the migration, the VM is immediately suspended."
+void PostcopyEngine::begin_owed(const Bitmap* owed) {
+  owed_ = owed;
+  received_.reset(page_count(), false);
+  push_cursor_ = 0;
+  if (owed == nullptr) {
     sent_.reset(page_count(), false);
-    received_.reset(page_count(), false);
-    begin_suspend();
-    AGILE_TRACE_SPAN_BEGIN("migration", "flip", trace_id());
-    metrics_.bytes_transferred += config_.cpu_state_bytes;
-    // Fenced for uniformity: the CPU state is the first message of the
-    // migration, so the fence is trivially satisfied on delivery.
-    stream_->send_fenced(config_.cpu_state_bytes, [this] {
-      complete_switchover(cluster_->tick_index());
-      AGILE_TRACE_SPAN_END("migration", "flip", trace_id());
-      AGILE_TRACE_SPAN_BEGIN("migration", "push", trace_id());
-      params_.machine->set_remote_fault_handler(
-          [this](PageIndex p, bool write, std::uint32_t t) {
-            return handle_fault(p, write, t);
-          });
-      phase_ = Phase::kPush;
-      set_phase(2, "push");
-    });
-    phase_ = Phase::kFlipWait;
-    set_phase(1, "flip-wait");
-    return;
+    owed_total_ = page_count();
+  } else {
+    // Pre-mark pages that are not owed as sent, so the push sweep only
+    // visits the owed set.
+    sent_.reset(page_count(), true);
+    for (Bitmap::Run r = owed->next_set_run(0); !r.empty();
+         r = owed->next_set_run(r.end)) {
+      sent_.clear_range(r.begin, r.end);
+    }
+    owed_total_ = owed->count();
   }
-  if (phase_ != Phase::kPush) return;
+  if (audit::enabled()) sent_.deep_audit();
+}
 
-  SimTime budget = dt - debt_;
-  debt_ = 0;
-  if (budget <= 0) {
-    debt_ = -budget;
-    return;
-  }
-  while (budget > 0 && phase_ == Phase::kPush) {
+void PostcopyEngine::flip_to_push(const char* flip_span) {
+  complete_switchover(cluster_->tick_index());
+  AGILE_TRACE_SPAN_END("migration", flip_span, trace_id());
+  AGILE_TRACE_SPAN_BEGIN("migration", "push", trace_id());
+  route_remote_faults([this](PageIndex p, bool, std::uint32_t t) {
+    return handle_fault(p, t);
+  });
+}
+
+SimTime PostcopyEngine::push_runs(SimTime budget, std::uint32_t tick,
+                                  std::uint64_t& swap_ins) {
+  while (budget > 0) {
     const Bytes backlog = stream_->backlog();
     if (backlog >= config_.send_window) break;
-    Bitmap::Run run = sent_.next_clear_run(cursor_);
+    // Every page not owed is pre-marked sent, so a clear run is a run of
+    // owed pages still to push.
+    const Bitmap::Run run = sent_.next_clear_run(push_cursor_);
     if (run.empty()) break;  // all enqueued; finish fires on delivery
     const PageIndex p = run.begin;
-    if (source_mem_->state(p) == mem::PageState::kUntouched) {
-      // Descriptor run: uniform cost and no mid-run class changes (nothing
-      // here swaps anything in), so the whole run collapses into one batch,
-      // capped by the thread budget and the remaining send window.
-      const PageIndex limit = source_mem_->state_run_end(p, run.end);
-      std::uint64_t n = limit - p;
-      n = std::min(n, (static_cast<std::uint64_t>(budget) +
-                       config_.page_copy_cost - 1) /
-                          config_.page_copy_cost);
-      n = std::min(n, (config_.send_window - backlog +
-                       config_.descriptor_bytes - 1) /
-                          config_.descriptor_bytes);
-      sent_.set_range(p, p + n);
-      cursor_ = p + n;
-      budget -= static_cast<SimTime>(n) * config_.page_copy_cost;
-      metrics_.pages_sent_descriptor += n;
-      metrics_.bytes_transferred += n * config_.descriptor_bytes;
-      stream_->send_batch(n, config_.descriptor_bytes,
-                          [this, p = p](std::uint64_t k) mutable {
-                            for (std::uint64_t i = 0; i < k; ++i) {
-                              deliver_page(p++);
-                            }
-                          });
-      continue;
-    }
-    if (zero_elidable(p)) {
-      // Zero-page elision run: all-zero content travels as a descriptor and
-      // installs as untouched at the destination. Classification is
-      // read-only (no swap-ins), so the class cannot change mid-run.
-      PageIndex q = p;
-      std::uint64_t n = 0;
-      while (q < run.end && budget > 0 &&
-             backlog + n * config_.descriptor_bytes < config_.send_window &&
-             zero_elidable(q)) {
-        budget -= config_.page_copy_cost;
-        ++n;
-        ++q;
-      }
-      sent_.set_range(p, q);
-      cursor_ = q;
-      metrics_.pages_sent_descriptor += n;
-      metrics_.pages_zero_elided += n;
-      metrics_.bytes_transferred += n * config_.descriptor_bytes;
-      stream_->send_batch(n, config_.descriptor_bytes,
-                          [this, p = p](std::uint64_t k) mutable {
-                            for (std::uint64_t i = 0; i < k; ++i) {
-                              deliver_page(p++);
-                            }
-                          });
-      continue;
-    }
-    // Full-copy stretch (resident or swapped pages). A swap-in can evict
-    // other pages — possibly inside this run — so class and cost are re-read
-    // page by page while the messages coalesce into one batch.
-    PageIndex q = p;
-    std::uint64_t n = 0;
-    while (q < run.end && budget > 0 &&
-           backlog + n * wire_page_bytes() < config_.send_window) {
-      const mem::PageState st = source_mem_->state(q);
-      AGILE_CHECK_MSG(st != mem::PageState::kRemote,
-                      "pushing an already-released page");
-      if (st == mem::PageState::kUntouched) break;
-      if (zero_elidable(q)) break;  // next stretch elides to a descriptor
-      SimTime spent = page_send_cost();
-      if (st == mem::PageState::kSwapped) {
-        spent += source_mem_->swap_in_for_transfer(q, tick);
-        ++metrics_.pages_swapped_in_at_source;
-      }
-      budget -= spent;
-      ++n;
-      ++q;
-    }
-    account_full_pages(n);
-    sent_.set_range(p, q);
-    cursor_ = q;
-    stream_->send_batch(n, wire_page_bytes(),
+    const Stretch s = take_stretch(p, run.end, budget, backlog, tick);
+    swap_ins += s.swap_ins;
+    sent_.set_range(p, s.end);
+    push_cursor_ = s.end;
+    stream_->send_batch(s.end - p,
+                        s.full ? wire_page_bytes() : config_.descriptor_bytes,
                         [this, p = p](std::uint64_t k) mutable {
                           for (std::uint64_t i = 0; i < k; ++i) {
-                            deliver_page(p++);
+                            deliver_pushed(p++);
                           }
                         });
   }
-  if (budget < 0) debt_ = -budget;
+  return budget;
 }
 
-void PostcopyMigration::deliver_page(PageIndex p) {
+void PostcopyEngine::deliver_pushed(PageIndex p) {
+  AGILE_DCHECK(owed_ == nullptr || owed_->test(p))
+      << "push delivered page " << p << " outside the owed set";
   if (received_.test(p)) {
     // A demand fault overtook this pushed copy; the receiver discards it.
     ++metrics_.duplicate_pages;
@@ -148,34 +80,24 @@ void PostcopyMigration::deliver_page(PageIndex p) {
   maybe_finish();
 }
 
-SimTime PostcopyMigration::handle_fault(PageIndex p, bool, std::uint32_t tick) {
+SimTime PostcopyEngine::serve_remote_fault(PageIndex p, std::uint32_t tick) {
   AGILE_CHECK(!received_.test(p));
   SimTime latency = config_.fault_overhead;
-  net::Network& net = cluster_->network();
-  net::NodeId dst = params_.dest->node();
-  net::NodeId src = params_.source->node();
-
   mem::PageState st = source_mem_->state(p);
   AGILE_CHECK_MSG(st != mem::PageState::kRemote, "fault on a released page");
   const bool zero = zero_elidable(p);  // answered by descriptor, no data read
   if (st == mem::PageState::kSwapped && !zero) {
-    // The memory-constrained source must read the page off its swap device
+    // A memory-constrained source must read the page off its swap device
     // before it can answer — the paper's post-copy degradation mechanism.
     latency += source_mem_->swap_in_for_transfer(p, tick, /*sequential=*/false);
     st = mem::PageState::kResident;
   }
   if (st == mem::PageState::kUntouched || zero) {
-    latency += net.rpc_latency(dst, src, config_.descriptor_bytes);
-    net.consume_background(dst, src, config_.descriptor_bytes);
-    net.consume_background(src, dst, config_.descriptor_bytes);
-    metrics_.bytes_transferred += config_.descriptor_bytes;
+    latency += fault_rpc(config_.descriptor_bytes);
     if (zero) ++metrics_.pages_zero_elided;
     dest_mem_->install_untouched(p);
   } else {
-    latency += net.rpc_latency(dst, src, full_page_bytes());
-    net.consume_background(dst, src, config_.descriptor_bytes);  // request
-    net.consume_background(src, dst, full_page_bytes());         // response
-    metrics_.bytes_transferred += full_page_bytes();
+    latency += fault_rpc(full_page_bytes());
     dest_mem_->install_resident(p, tick);
   }
   sent_.set(p);
@@ -183,16 +105,53 @@ SimTime PostcopyMigration::handle_fault(PageIndex p, bool, std::uint32_t tick) {
   ++metrics_.pages_demand_served;
   AGILE_TRACE_INSTANT("migration", "demand_fault", trace_id(),
                       static_cast<double>(p));
-  AGILE_LOG_EVERY_N(kDebug, 1000, "post-copy %s: %llu demand faults served",
-                    params_.machine->name().c_str(),
+  AGILE_LOG_EVERY_N(kDebug, 1000, "%s %s: %llu demand faults served",
+                    technique(), params_.machine->name().c_str(),
                     static_cast<unsigned long long>(metrics_.pages_demand_served));
   source_mem_->release_page(p);
   maybe_finish();
   return latency;
 }
 
+void PostcopyEngine::finish_push() {
+  if (audit::enabled()) {
+    // Completion implies the owed set drained exactly: every page is marked
+    // sent and every received page was owed.
+    AGILE_CHECK_S(sent_.count() == page_count())
+        << "finishing with " << page_count() - sent_.count() << " unsent pages";
+    received_.deep_audit();
+  }
+  AGILE_TRACE_SPAN_END("migration", "push", trace_id());
+  finish();
+}
+
+void PostcopyMigration::on_tick(SimTime, SimTime dt, std::uint32_t tick) {
+  if (phase_ == Phase::kInit) {
+    // "Upon beginning the migration, the VM is immediately suspended."
+    begin_owed(nullptr);
+    begin_suspend();
+    AGILE_TRACE_SPAN_BEGIN("migration", "flip", trace_id());
+    metrics_.bytes_transferred += config_.cpu_state_bytes;
+    // Fenced for uniformity: the CPU state is the first message of the
+    // migration, so the fence is trivially satisfied on delivery.
+    stream_->send_fenced(config_.cpu_state_bytes, [this] {
+      flip_to_push("flip");
+      phase_ = Phase::kPush;
+      set_phase(2, "push");
+    });
+    phase_ = Phase::kFlipWait;
+    set_phase(1, "flip-wait");
+    return;
+  }
+  if (phase_ != Phase::kPush) return;
+
+  const SimTime budget = take_budget(dt);
+  if (budget <= 0) return;
+  carry_debt(push_runs(budget, tick, metrics_.pages_swapped_in_at_source));
+}
+
 void PostcopyMigration::maybe_finish() {
-  if (phase_ == Phase::kDone || received_.count() != page_count()) return;
+  if (phase_ == Phase::kDone || !push_drained()) return;
   if (audit::enabled()) {
     // Every page reached the destination exactly once, counting the push /
     // demand-fault race explicitly: pushes + demand serves = guest size +
@@ -205,16 +164,10 @@ void PostcopyMigration::maybe_finish() {
         << metrics_.pages_sent_descriptor << " + demand "
         << metrics_.pages_demand_served << " vs " << page_count() << " + dup "
         << metrics_.duplicate_pages;
-    AGILE_CHECK_S(sent_.count() == page_count())
-        << "finishing with " << page_count() - sent_.count() << " unsent pages";
-    received_.deep_audit();
   }
   phase_ = Phase::kDone;
   set_phase(3, "done");
-  AGILE_TRACE_SPAN_END("migration", "push", trace_id());
-  params_.machine->clear_remote_fault_handler();
-  source_mem_->teardown(/*free_slots=*/true);
-  finish();
+  finish_push();
 }
 
 }  // namespace agile::migration

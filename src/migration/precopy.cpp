@@ -19,12 +19,8 @@ void PrecopyMigration::on_tick(SimTime, SimTime dt, std::uint32_t tick) {
   }
   if (phase_ == Phase::kAwaitResume) return;  // CPU state in flight
 
-  SimTime budget = dt - debt_;
-  debt_ = 0;
-  if (budget <= 0) {
-    debt_ = -budget;
-    return;
-  }
+  SimTime budget = take_budget(dt);
+  if (budget <= 0) return;
 
   mem::GuestMemory* dest = dest_memory();
   while (budget > 0 &&
@@ -41,95 +37,24 @@ void PrecopyMigration::on_tick(SimTime, SimTime dt, std::uint32_t tick) {
       }
       continue;
     }
-    PageIndex p = run.begin;
-    if (source_mem_->state(p) == mem::PageState::kUntouched) {
-      // Descriptor run: every page costs the same and nothing can change a
-      // page's class mid-run (descriptors trigger no swap-ins), so the whole
-      // run collapses into one batch send, capped by the thread budget
-      // (ceil: the per-page loop sent while budget was still positive) and
-      // the remaining send window.
-      const PageIndex limit = source_mem_->state_run_end(p, run.end);
-      std::uint64_t n = limit - p;
-      n = std::min(n, (static_cast<std::uint64_t>(budget) +
-                       config_.page_copy_cost - 1) /
-                          config_.page_copy_cost);
-      n = std::min(n, (config_.send_window - backlog +
-                       config_.descriptor_bytes - 1) /
-                          config_.descriptor_bytes);
-      dirty_.clear_range(p, p + n);
-      cursor_ = p + n;
-      budget -= static_cast<SimTime>(n) * config_.page_copy_cost;
-      metrics_.pages_sent_descriptor += n;
-      metrics_.bytes_transferred += n * config_.descriptor_bytes;
-      stream_->send_batch(n, config_.descriptor_bytes,
-                          [dest, p](std::uint64_t k) mutable {
-                            dest->install_untouched_range(p, p + k);
-                            p += k;
-                          });
-      continue;
-    }
-    if (zero_elidable(p)) {
-      // Zero-page elision run: touched pages whose content is all zeroes
-      // travel as descriptors — the destination installs them as untouched
-      // (the canonical zero page). Classification is read-only, so nothing
-      // can change a page's class mid-run; swapped zero pages skip the
-      // swap-in entirely (the mark is authoritative, no data is read).
-      PageIndex q = p;
-      std::uint64_t n = 0;
-      while (q < run.end && budget > 0 &&
-             backlog + n * config_.descriptor_bytes < config_.send_window &&
-             zero_elidable(q)) {
-        budget -= config_.page_copy_cost;
-        ++n;
-        ++q;
-      }
-      dirty_.clear_range(p, q);
-      cursor_ = q;
-      metrics_.pages_sent_descriptor += n;
-      metrics_.pages_zero_elided += n;
-      metrics_.bytes_transferred += n * config_.descriptor_bytes;
-      stream_->send_batch(n, config_.descriptor_bytes,
-                          [dest, p](std::uint64_t k) mutable {
-                            dest->install_untouched_range(p, p + k);
-                            p += k;
-                          });
-      continue;
-    }
-    // Full-copy stretch (resident or swapped pages). A swap-in can evict
-    // other pages of this very VM — possibly inside this run — so class and
-    // cost are re-read page by page; the wire messages still coalesce into a
-    // single batch, since every one is a full-page copy with the same
-    // delivery semantics.
-    PageIndex q = p;
-    std::uint64_t n = 0;
-    while (q < run.end && budget > 0 &&
-           backlog + n * wire_page_bytes() < config_.send_window) {
-      const mem::PageState st = source_mem_->state(q);
-      if (st == mem::PageState::kUntouched) break;
-      if (zero_elidable(q)) break;  // next stretch elides to a descriptor
-      SimTime spent = page_send_cost();
-      if (st == mem::PageState::kSwapped) {
-        // Must be brought back into memory before it can be sent (and doing
-        // so can evict other pages of this very VM).
-        spent += source_mem_->swap_in_for_transfer(q, tick);
-        ++metrics_.pages_swapped_in_at_source;
-      }
-      budget -= spent;
-      ++n;
-      ++q;
-    }
-    account_full_pages(n);
-    dirty_.clear_range(p, q);
-    cursor_ = q;
+    const PageIndex p = run.begin;
+    const Stretch s = take_stretch(p, run.end, budget, backlog, tick);
+    metrics_.pages_swapped_in_at_source += s.swap_ins;
+    dirty_.clear_range(p, s.end);
+    cursor_ = s.end;
     host::Cluster* cluster = cluster_;
-    stream_->send_batch(n, wire_page_bytes(),
-                        [dest, p, cluster](std::uint64_t k) mutable {
-                          dest->receive_overwrite_range(p, p + k,
-                                                        cluster->tick_index());
-                          p += k;
-                        });
+    stream_->send_batch(
+        s.end - p, s.full ? wire_page_bytes() : config_.descriptor_bytes,
+        [dest, p = p, cluster, full = s.full](std::uint64_t k) mutable {
+          if (full) {
+            dest->receive_overwrite_range(p, p + k, cluster->tick_index());
+          } else {
+            dest->install_untouched_range(p, p + k);
+          }
+          p += k;
+        });
   }
-  if (budget < 0) debt_ = -budget;
+  carry_debt(budget);
 }
 
 void PrecopyMigration::end_of_live_round() {
@@ -203,7 +128,6 @@ void PrecopyMigration::start_stop_copy() {
     // memory is complete when this fires.
     complete_switchover(cluster_->tick_index());
     AGILE_TRACE_SPAN_END("migration", "await_resume", trace_id());
-    source_mem_->teardown(/*free_slots=*/true);
     finish();
   });
 }

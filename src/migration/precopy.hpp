@@ -40,7 +40,6 @@ class PrecopyMigration final : public MigrationManager {
   Bitmap next_dirty_;  ///< KVM dirty log for the running round.
   std::uint64_t cursor_ = 0;
   std::uint32_t round_ = 0;
-  SimTime debt_ = 0;  ///< Thread time overdrawn from the last quantum.
 };
 
 }  // namespace agile::migration

@@ -7,11 +7,6 @@
 
 namespace agile::migration {
 
-namespace {
-// Slot table for in-flight scattered pages lives protocol-side (the source
-// page table forgets slots it hands over). kNoSlot marks an untouched page.
-}  // namespace
-
 ScatterGatherMigration::ScatterGatherMigration(host::Cluster* cluster,
                                                MigrationParams params,
                                                MigrationConfig config)
@@ -34,11 +29,9 @@ void ScatterGatherMigration::on_tick(SimTime now, SimTime dt,
       complete_switchover(cluster_->tick_index());
       AGILE_TRACE_SPAN_END("migration", "flip_wait", trace_id());
       AGILE_TRACE_SPAN_BEGIN("migration", "scatter", trace_id());
-      params_.machine->set_remote_fault_handler(
-          [this](PageIndex p, bool write, std::uint32_t t) {
-            return handle_fault(p, write, t);
-          });
-      if (on_switchover_) on_switchover_();
+      route_remote_faults([this](PageIndex p, bool write, std::uint32_t t) {
+        return handle_fault(p, write, t);
+      });
       phase_ = Phase::kScatter;
       set_phase(2, "scatter");
     });
@@ -52,8 +45,7 @@ void ScatterGatherMigration::on_tick(SimTime now, SimTime dt,
   if (phase_ == Phase::kDone) return;
 
   if (phase_ == Phase::kScatter) {
-    SimTime budget = dt - debt_;
-    debt_ = 0;
+    SimTime budget = take_budget(dt);
     if (budget > 0) {
       // Scatter near NIC line rate: evicting a page moves it over the
       // network to an intermediate host, so pace by bytes per quantum —
@@ -99,7 +91,7 @@ void ScatterGatherMigration::on_tick(SimTime now, SimTime dt,
                               }
                             });
       }
-      if (budget < 0) debt_ = -budget;
+      carry_debt(budget);
     }
   }
   gather(dt, tick);
@@ -197,18 +189,11 @@ SimTime ScatterGatherMigration::handle_fault(PageIndex p, bool,
   if (handled_.test(p)) {
     // Scattered, descriptor still in flight: resolve from the slot table; the
     // subsequent touch() pays the actual VMD read.
-    if (scattered_slot_[p] == swap::kNoSlot) {
-      dest_mem_->install_untouched(p);
-    } else {
-      dest_mem_->install_swapped(p, scattered_slot_[p]);
-    }
+    descriptor_delivered(p);
     return latency;
   }
   // Source still authoritative for this page.
   handled_.set(p);
-  net::Network& net = cluster_->network();
-  net::NodeId dst = params_.dest->node();
-  net::NodeId src = params_.source->node();
   mem::PageState st = source_mem_->state(p);
   AGILE_CHECK(st != mem::PageState::kRemote);
   if (st != mem::PageState::kUntouched && zero_elidable(p)) {
@@ -229,10 +214,7 @@ SimTime ScatterGatherMigration::handle_fault(PageIndex p, bool,
       source_mem_->forget_slot(p);
       break;
     case mem::PageState::kResident:
-      latency += net.rpc_latency(dst, src, full_page_bytes());
-      net.consume_background(dst, src, config_.descriptor_bytes);
-      net.consume_background(src, dst, full_page_bytes());
-      metrics_.bytes_transferred += full_page_bytes();
+      latency += fault_rpc(full_page_bytes());
       ++metrics_.pages_demand_served;
       AGILE_TRACE_INSTANT("migration", "demand_fault", trace_id(),
                           static_cast<double>(p));
@@ -274,8 +256,6 @@ void ScatterGatherMigration::maybe_finish_scatter() {
   phase_ = Phase::kDone;
   set_phase(4, "done");
   scatter_done_ = cluster_->simulation().now();
-  params_.machine->clear_remote_fault_handler();
-  source_mem_->teardown(/*free_slots=*/true);
   AGILE_LOG_INFO("scatter-gather %s: source deprovisioned in %.1f s "
                  "(%.0f MiB scattered, %llu gathered so far)",
                  params_.machine->name().c_str(),

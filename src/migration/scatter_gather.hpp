@@ -33,11 +33,6 @@ class ScatterGatherMigration final : public MigrationManager {
     return page_count() - handled_.count();
   }
 
-  /// Fired at the execution flip (re-attach the portable device, etc.).
-  void set_on_switchover(std::function<void()> fn) {
-    on_switchover_ = std::move(fn);
-  }
-
   /// When the source finished scattering (its memory is fully released);
   /// -1 while still scattering. The "deprovision time" metric.
   SimTime scatter_complete_time() const { return scatter_done_; }
@@ -69,8 +64,6 @@ class ScatterGatherMigration final : public MigrationManager {
   std::uint64_t gather_cursor_ = 0;
   std::uint64_t pages_gathered_ = 0;
   SimTime scatter_done_ = -1;
-  SimTime debt_ = 0;
-  std::function<void()> on_switchover_;
 };
 
 }  // namespace agile::migration

@@ -3,20 +3,27 @@
 namespace agile::swap {
 
 SwapSlot SlotAllocator::allocate() {
+  SwapSlot s;
   if (!free_list_.empty()) {
-    SwapSlot s = free_list_.back();
+    s = free_list_.back();
     free_list_.pop_back();
-    ++used_;
-    return s;
+  } else {
+    AGILE_CHECK_MSG(next_fresh_ < capacity_, "swap device full");
+    s = next_fresh_++;
+    if (s % 64 == 0) in_use_.push_back(0);
   }
-  AGILE_CHECK_MSG(next_fresh_ < capacity_, "swap device full");
+  in_use_[s / 64] |= std::uint64_t{1} << (s % 64);
   ++used_;
-  return next_fresh_++;
+  return s;
 }
 
 void SlotAllocator::release(SwapSlot slot) {
   AGILE_CHECK(slot != kNoSlot && slot < next_fresh_);
   AGILE_CHECK(used_ > 0);
+  std::uint64_t& word = in_use_[slot / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+  AGILE_CHECK_MSG((word & bit) != 0, "releasing a free swap slot");
+  word &= ~bit;
   --used_;
   free_list_.push_back(slot);
 }

@@ -82,6 +82,9 @@ class SlotAllocator {
   std::uint64_t used_ = 0;
   SwapSlot next_fresh_ = 0;
   std::vector<SwapSlot> free_list_;
+  /// One bit per slot handed out so far (grows with `next_fresh_`, not with
+  /// the capacity): catches a release of a slot that is already free.
+  std::vector<std::uint64_t> in_use_;
 };
 
 /// Swap partition on a (possibly shared) host SSD.

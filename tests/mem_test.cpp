@@ -411,5 +411,18 @@ TEST(SlotAllocatorDeathTest, ReleasingNeverAllocatedSlotAborts) {
   EXPECT_DEATH(slots.release(swap::kNoSlot), "AGILE_CHECK failed");
 }
 
+TEST(SlotAllocatorDeathTest, DoubleReleaseAborts) {
+  swap::SlotAllocator slots(8);
+  slots.allocate();  // slot 0
+  slots.allocate();  // slot 1
+  slots.release(0);
+  EXPECT_DEATH(slots.release(0), "releasing a free swap slot");
+  // A reused slot is in use again and releases cleanly.
+  EXPECT_EQ(slots.allocate(), 0u);
+  slots.release(0);
+  slots.release(1);
+  EXPECT_EQ(slots.used(), 0u);
+}
+
 }  // namespace
 }  // namespace agile::mem

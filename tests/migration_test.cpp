@@ -3,6 +3,8 @@
 // MiB instead of tens of GiB so each case runs in milliseconds).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/testbed.hpp"
 #include "workload/ycsb.hpp"
 
@@ -232,6 +234,51 @@ TEST(Migration, AgileBusyVmPushesOnlyDirtySet) {
   mig->source_memory()->check_consistency();
   // Exactly one live round, per the paper.
   EXPECT_EQ(mig->metrics().precopy_rounds, 1u);
+}
+
+// Agile's push re-reads a dirty page that was evicted again after the live
+// round from the per-VM device: a remote-memory read, not a source SSD read,
+// so only pre-/post-copy add their push swap-ins to
+// pages_swapped_in_at_source.
+TEST(Migration, AgilePushSwapInsAreNotSourceSsdReads) {
+  SmallBed bed;
+  VmHandle& a = bed->create_vm(small_vm("agile-vm", SwapBinding::kPerVmDevice));
+  add_ycsb(*bed, a);
+  VmHandle& b = bed->create_vm(small_vm("postcopy-vm", SwapBinding::kHostPartition));
+  b.machine->memory().prefill(pages_for(192_MiB), 0);  // cold tail on the SSD
+  bed->cluster().run_for_seconds(2);
+
+  auto agile = bed->make_migration(Technique::kAgile, a);
+  agile->start();
+  // Stop while the flip is in flight: live round over, dirty set fixed, the
+  // VM suspended and nothing pushed yet.
+  while (!agile->completed() &&
+         std::string(agile->phase_name()) != "flip-wait") {
+    bed->cluster().run_for_seconds(0.1);
+  }
+  ASSERT_STREQ(agile->phase_name(), "flip-wait");
+  mem::GuestMemory* src = agile->source_memory();
+  ASSERT_GT(src->resident_pages(), 1u);
+  // Evict every resident source page but one, dirty pages included.
+  src->set_reservation(kPageSize);
+  src->enforce_reservation(src->page_count());
+  ASSERT_EQ(src->resident_pages(), 1u);
+  const std::uint64_t agile_reads_before = src->stats().swap_ins;
+  run_to_completion(*bed, *agile);
+  EXPECT_GT(src->stats().swap_ins, agile_reads_before);  // dirty pages read back
+  EXPECT_EQ(agile->metrics().pages_swapped_in_at_source, 0u);
+  expect_fully_migrated(*bed, a, *agile);
+
+  // Post-copy on the same bed counts every push swap-in (an idle VM takes no
+  // demand faults, so those are all of its source swap-ins).
+  auto post = bed->make_migration(Technique::kPostcopy, b);
+  const std::uint64_t post_reads_before = b.machine->memory().stats().swap_ins;
+  post->start();
+  run_to_completion(*bed, *post);
+  EXPECT_EQ(post->metrics().pages_demand_served, 0u);
+  EXPECT_GT(post->metrics().pages_swapped_in_at_source, 0u);
+  EXPECT_EQ(post->metrics().pages_swapped_in_at_source,
+            post->source_memory()->stats().swap_ins - post_reads_before);
 }
 
 TEST(Migration, AgileSlotOwnershipHandsOverCleanly) {
