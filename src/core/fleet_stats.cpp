@@ -1,6 +1,6 @@
 #include "core/fleet_stats.hpp"
 
-#include <cstdio>
+#include <string>
 
 #include "core/migration_orchestrator.hpp"
 
@@ -94,9 +94,7 @@ void FleetStatsCollector::register_static_metrics() {
   }
   vmd_cells_.resize(bed_->vmd_server_count());
   for (std::size_t i = 0; i < bed_->vmd_server_count(); ++i) {
-    char idx[16];
-    std::snprintf(idx, sizeof(idx), "%zu", i);
-    const stats::Labels l = {{"server", idx}};
+    const stats::Labels l = {{"server", std::to_string(i)}};
     VmdCells& c = vmd_cells_[i];
     c.used = registry_->gauge("agile_vmd_used_bytes", l,
                               "VMD memory tier bytes in use");
