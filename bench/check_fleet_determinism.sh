@@ -9,7 +9,8 @@
 #   on_jobs4          AGILE_STATS set,   AGILE_BENCH_JOBS = 4
 #   on_audit          AGILE_STATS set,   AGILE_AUDIT = 1
 #
-# (AGILE_BENCH_JOBS = 1 and AGILE_SIM_LANES = 1 unless named.) Every other
+# (AGILE_BENCH_JOBS = 1 and AGILE_SIM_LANES = 1 unless named; stdout lands in
+# stdout.txt beside the outputs.) Every other
 # mode byte-compares one property over those outputs:
 #
 #   fleet_jobs   FLEET_GOLDEN identical at AGILE_BENCH_JOBS = 1, 2
@@ -31,7 +32,7 @@ run() {  # run <config> [VAR=VAL ...] — one quick fleet bench into $out/<confi
   shift
   mkdir -p "$dir"
   env AGILE_BENCH_QUICK=1 AGILE_BENCH_JOBS=1 AGILE_SIM_LANES=1 \
-      AGILE_BENCH_OUT="$dir" "$@" "$bin" > /dev/null
+      AGILE_BENCH_OUT="$dir" "$@" "$bin" > "$dir/stdout.txt"
 }
 
 cmp_golden() {  # cmp_golden <config_a> <config_b>

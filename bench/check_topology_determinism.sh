@@ -22,7 +22,7 @@ run() {  # run <dir> [VAR=VAL ...] — one quick topology bench into $out/<dir>
   rm -rf "$dir"
   mkdir -p "$dir"
   env AGILE_BENCH_QUICK=1 AGILE_BENCH_JOBS=1 AGILE_BENCH_OUT="$dir" \
-      "$@" "$bin" > /dev/null
+      "$@" "$bin" > "$dir/stdout.txt"
 }
 
 run base
