@@ -33,10 +33,10 @@ migration::MigrationMetrics run_pressured_agile(
     migration::MigrationConfig mig_cfg = {}) {
   const bool quick = bench::quick_mode();
   core::TestbedConfig cfg;
-  cfg.source.ram = quick ? 1_GiB : 2_GiB;
-  cfg.source.host_os_bytes = 64_MiB;
-  cfg.dest = cfg.source;
-  cfg.dest.name = "dest";
+  for (host::HostConfig& host_cfg : cfg.hosts) {
+    host_cfg.ram = quick ? 1_GiB : 2_GiB;
+    host_cfg.host_os_bytes = 64_MiB;
+  }
   cfg.vmd_servers = vmd_servers;
   cfg.vmd_server_capacity = server_capacity;
   cfg.vmd_server_disk = server_disk;
@@ -60,10 +60,11 @@ migration::MigrationMetrics run_pressured_agile(
   auto* ycsb = load.get();
   bed.attach_workload(h, std::move(load));
   ycsb->load(0);
-  bed.source()->ssd()->advance(sec(3600));
+  bed.host_at(0)->ssd()->advance(sec(3600));
   bed.cluster().run_for_seconds(10);
 
-  auto mig = bed.make_migration(Technique::kAgile, h, 0, mig_cfg);
+  auto mig =
+      bed.make_migration_to(Technique::kAgile, h, bed.host_at(1), 0, mig_cfg);
   mig->start();
   double deadline = bed.cluster().now_seconds() + (quick ? 1200 : 3600);
   while (!mig->completed() && bed.cluster().now_seconds() < deadline) {

@@ -22,8 +22,7 @@ int main() {
   log::set_level(LogLevel::kInfo);
 
   core::TestbedConfig cfg;
-  cfg.source.ram = 5_GiB;
-  cfg.dest.ram = 5_GiB;
+  for (host::HostConfig& host_cfg : cfg.hosts) host_cfg.ram = 5_GiB;
   cfg.vmd_server_capacity = 32_GiB;
   core::Testbed bed(cfg);
 
@@ -41,14 +40,10 @@ int main() {
     workload::YcsbConfig ycfg;
     ycfg.dataset_bytes = 3_GiB;
     ycfg.active_bytes = 512_MiB;  // small working sets: consolidation-friendly
-    auto load = std::make_unique<workload::YcsbWorkload>(
-        h.machine, &bed.cluster().network(), bed.client_node(), ycfg,
-        bed.make_rng(spec.name + "/ycsb"));
-    clients.push_back(load.get());
-    bed.attach_workload(h, std::move(load));
+    clients.push_back(bed.attach_ycsb(h, ycfg));
     clients.back()->load(0);
   }
-  bed.source()->ssd()->advance(sec(3600));
+  bed.host_at(0)->ssd()->advance(sec(3600));
 
   core::MigrationOrchestratorConfig ocfg;
   ocfg.warmup = sec(100);  // let the initial estimates converge

@@ -359,7 +359,6 @@ int main(int argc, char** argv) {
   opt.stats = !stats_out.empty();
   opt.stats_interval = sec(stats_interval_s);
   core::scenarios::SingleVm sc = core::scenarios::make_single_vm(opt);
-  if (busy && sc.ycsb == nullptr) return usage(argv[0]);
   std::printf("Preparing a %.1f GiB %s VM on a %.1f GiB host (%s)...\n", vm_gb,
               busy ? "busy" : "idle", host_gb, core::technique_name(technique));
   sc.prepare();
@@ -376,8 +375,8 @@ int main(int argc, char** argv) {
     // §III-B trigger over it. This puts the host's memory-pressure picture
     // on the trace's wss track next to the engine phases.
     vm::VirtualMachine* machine = sc.handle->machine;
-    Bytes host_ram = sc.bed->source()->ram();
-    Bytes host_os = sc.bed->source()->config().host_os_bytes;
+    Bytes host_ram = sc.bed->host_at(0)->ram();
+    Bytes host_os = sc.bed->host_at(0)->config().host_os_bytes;
     wss::WatermarkConfig watermarks;
     watermarks.high = watermark_high;
     watermarks.low = watermark_low;
@@ -390,20 +389,15 @@ int main(int argc, char** argv) {
           wss::evaluate_watermarks(host_ram, host_os, vms, watermarks);
         });
   }
-  migration::MigrationConfig mcfg;
-  mcfg.num_streams = opt.num_streams;
-  mcfg.compression = opt.compression;
-  sc.migration = sc.bed->make_migration(opt.technique, *sc.handle,
-                                        /*dest_reservation=*/0, mcfg);
-  sc.migration->start();
-  double start = sc.bed->cluster().now_seconds();
-  while (!sc.migration->completed() &&
-         sc.bed->cluster().now_seconds() < start + 36000) {
-    sc.bed->cluster().run_for_seconds(1.0);
-    if (timeline && probe) {
-      double now = sc.bed->cluster().now_seconds();
-      std::printf("  t=%6.1fs  %8.0f ops/s\n", now - start,
-                  probe->series().value_at(now));
+  SimTime start = sc.bed->cluster().simulation().now();
+  sc.run_migration();
+  if (timeline && probe) {
+    // One line per 1 s step of the run, read back from the probe's samples.
+    SimTime end = sc.bed->cluster().simulation().now();
+    for (SimTime t = start + sec(1); t <= end; t += sec(1)) {
+      std::printf("  t=%6.1fs  %8.0f ops/s\n",
+                  to_seconds(t) - to_seconds(start),
+                  probe->series().value_at(to_seconds(t)));
     }
   }
   if (!sc.migration->completed()) {

@@ -16,11 +16,11 @@ using namespace agile;
 int main() {
   log::set_level(LogLevel::kInfo);
 
-  // 1. A testbed: source + destination hosts (8 GB RAM each), an external
-  //    client machine, and one intermediate host lending 16 GB to the VMD.
+  // 1. A testbed: the default host list is the paper's pair — host 0 the
+  //    source, host 1 the destination (8 GB RAM each) — plus an external
+  //    client machine and one intermediate host lending 16 GB to the VMD.
   core::TestbedConfig cfg;
-  cfg.source.ram = 8_GiB;
-  cfg.dest.ram = 8_GiB;
+  for (host::HostConfig& host_cfg : cfg.hosts) host_cfg.ram = 8_GiB;
   cfg.vmd_server_capacity = 16_GiB;
   core::Testbed bed(cfg);
 
@@ -34,7 +34,8 @@ int main() {
   core::VmHandle& vm = bed.create_vm(spec);
 
   // 3. A YCSB-style client on the external host querying a 3 GB dataset in
-  //    the VM — 1 GB of it is hot.
+  //    the VM — 1 GB of it is hot. (Testbed::attach_ycsb does this in one
+  //    call, drawing from the random stream "<vm name>/ycsb".)
   workload::YcsbConfig ycfg;
   ycfg.dataset_bytes = 3_GiB;
   ycfg.active_bytes = 1_GiB;
@@ -44,15 +45,16 @@ int main() {
   auto* ycsb = load.get();
   bed.attach_workload(vm, std::move(load));
   ycsb->load(0);
-  bed.source()->ssd()->advance(sec(3600));  // absorb the bulk-load I/O
+  bed.host_at(0)->ssd()->advance(sec(3600));  // absorb the bulk-load I/O
 
-  // 4. Let it run for a bit, then Agile-migrate.
+  // 4. Let it run for a bit, then Agile-migrate to host 1.
   core::ThroughputProbe probe(&bed.cluster(), ycsb, "ycsb");
   bed.cluster().run_for_seconds(30);
   std::printf("\nThroughput before migration: %.0f ops/s\n",
               probe.series().mean_between(10, 30));
 
-  auto migration = bed.make_migration(core::Technique::kAgile, vm);
+  auto migration =
+      bed.make_migration_to(core::Technique::kAgile, vm, bed.host_at(1));
   migration->start();
   while (!migration->completed()) bed.cluster().run_for_seconds(1);
   bed.cluster().run_for_seconds(30);
@@ -71,6 +73,6 @@ int main() {
               probe.series().mean_between(
                   bed.cluster().now_seconds() - 20, bed.cluster().now_seconds()));
   std::printf("  VM now runs on    %s\n",
-              bed.dest()->has_vm(vm.machine) ? "dest" : "source");
+              bed.host_at(1)->has_vm(vm.machine) ? "dest" : "source");
   return 0;
 }

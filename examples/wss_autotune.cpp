@@ -14,7 +14,7 @@ using namespace agile;
 
 int main() {
   core::TestbedConfig cfg;
-  cfg.source.ram = 16_GiB;
+  cfg.hosts[0].ram = 16_GiB;
   core::Testbed bed(cfg);
 
   core::VmSpec spec;
@@ -33,7 +33,7 @@ int main() {
   auto* ycsb = load.get();
   bed.attach_workload(vm, std::move(load));
   ycsb->load(0);
-  bed.source()->ssd()->advance(sec(3600));
+  bed.host_at(0)->ssd()->advance(sec(3600));
 
   wss::WssConfig wcfg;  // paper defaults, with a brisker α for a short demo
   wcfg.alpha = 0.85;

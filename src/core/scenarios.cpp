@@ -20,19 +20,37 @@ void drain_ssd(Testbed& bed) {
   }
 }
 
+// The paper's two-host bed: source and destination alike, each with `ram`
+// of which the host OS takes `host_os`.
+TestbedConfig two_host_bed(std::uint64_t seed, Bytes ram, Bytes host_os) {
+  TestbedConfig cfg;
+  cfg.cluster.seed = seed;
+  for (host::HostConfig& host_cfg : cfg.hosts) {
+    host_cfg.ram = ram;
+    host_cfg.host_os_bytes = host_os;
+  }
+  return cfg;
+}
+
+// Engages the scenario's stats registry and a collector that scrapes its bed
+// (and `orchestrator`, if any) every `options.stats_interval`.
+template <typename Scenario>
+void start_stats(Scenario& scenario, MigrationOrchestrator* orchestrator) {
+  scenario.registry = std::make_unique<stats::Registry>();
+  scenario.collector = std::make_unique<FleetStatsCollector>(
+      scenario.bed.get(), scenario.registry.get());
+  scenario.collector->set_orchestrator(orchestrator);
+  scenario.collector->start(scenario.options.stats_interval);
+}
+
 }  // namespace
 
 Consolidation make_consolidation(const ConsolidationOptions& options) {
   Consolidation scenario;
   scenario.options = options;
 
-  TestbedConfig cfg;
-  cfg.cluster.seed = options.seed;
-  cfg.source.ram = options.host_ram;
-  cfg.source.host_os_bytes = 200_MiB;
-  cfg.dest = cfg.source;
-  cfg.dest.name = "dest";
-  scenario.bed = std::make_unique<Testbed>(cfg);
+  scenario.bed = std::make_unique<Testbed>(
+      two_host_bed(options.seed, options.host_ram, 200_MiB));
   Testbed& bed = *scenario.bed;
 
   for (std::uint32_t i = 0; i < options.vm_count; ++i) {
@@ -45,28 +63,27 @@ Consolidation make_consolidation(const ConsolidationOptions& options) {
     VmHandle& h = bed.create_vm(spec);
     scenario.handles.push_back(&h);
 
-    std::unique_ptr<workload::Workload> load;
+    workload::Workload* load = nullptr;
     if (options.app == AppKind::kYcsb) {
       workload::YcsbConfig ycfg;
       ycfg.dataset_bytes = options.dataset;
       ycfg.guest_os_bytes = options.guest_os;
       ycfg.active_bytes = options.initial_active;
       ycfg.read_fraction = options.read_fraction;
-      load = std::make_unique<workload::YcsbWorkload>(
-          h.machine, &bed.cluster().network(), bed.client_node(), ycfg,
-          bed.make_rng(spec.name + "/ycsb"));
+      load = bed.attach_ycsb(h, ycfg);
     } else {
       workload::OltpConfig ocfg;
       ocfg.dataset_bytes = options.dataset;
       ocfg.guest_os_bytes = options.guest_os;
-      load = std::make_unique<workload::OltpWorkload>(
+      auto oltp = std::make_unique<workload::OltpWorkload>(
           h.machine, &bed.cluster().network(), bed.client_node(), ocfg,
           bed.make_rng(spec.name + "/oltp"));
+      load = oltp.get();
+      bed.attach_workload(h, std::move(oltp));
     }
-    scenario.loads.push_back(load.get());
-    bed.attach_workload(h, std::move(load));
-    scenario.probes.push_back(std::make_unique<ThroughputProbe>(
-        &bed.cluster(), scenario.loads.back(), spec.name));
+    scenario.loads.push_back(load);
+    scenario.probes.push_back(
+        std::make_unique<ThroughputProbe>(&bed.cluster(), load, spec.name));
   }
   return scenario;
 }
@@ -88,7 +105,8 @@ void Consolidation::schedule_ramp(SimTime ramp_start, SimTime ramp_step) {
 }
 
 void Consolidation::schedule_migration(SimTime at) {
-  migration = bed->make_migration(options.technique, *handles[0]);
+  migration =
+      bed->make_migration_to(options.technique, *handles[0], bed->host_at(1));
   migration::MigrationManager* mig = migration.get();
   bed->cluster().simulation().schedule_at(at, [mig] { mig->start(); });
 }
@@ -114,12 +132,8 @@ SingleVm make_single_vm(const SingleVmOptions& options) {
     scenario.session = std::make_unique<trace::TraceSession>();
   }
 
-  TestbedConfig cfg;
-  cfg.cluster.seed = options.seed;
-  cfg.source.ram = options.host_ram;
-  cfg.source.host_os_bytes = 500_MiB;
-  cfg.dest = cfg.source;
-  cfg.dest.name = "dest";
+  constexpr Bytes kHostOs = 500_MiB;
+  TestbedConfig cfg = two_host_bed(options.seed, options.host_ram, kHostOs);
   if (options.link_bits_per_sec > 0) {
     cfg.cluster.network.link_bits_per_sec = options.link_bits_per_sec;
   }
@@ -130,7 +144,7 @@ SingleVm make_single_vm(const SingleVmOptions& options) {
   Testbed& bed = *scenario.bed;
 
   Bytes reservation =
-      std::min(options.vm_memory, options.host_ram - cfg.source.host_os_bytes);
+      std::min(options.vm_memory, options.host_ram - kHostOs);
   VmSpec spec;
   spec.name = "vm0";
   spec.memory = options.vm_memory;
@@ -151,18 +165,9 @@ SingleVm make_single_vm(const SingleVmOptions& options) {
     ycfg.guest_os_bytes = options.guest_os;
     ycfg.active_bytes = ycfg.dataset_bytes;
     ycfg.read_fraction = options.read_fraction;
-    auto load = std::make_unique<workload::YcsbWorkload>(
-        scenario.handle->machine, &bed.cluster().network(), bed.client_node(),
-        ycfg, bed.make_rng("vm0/ycsb"));
-    scenario.ycsb = load.get();
-    bed.attach_workload(*scenario.handle, std::move(load));
+    scenario.ycsb = bed.attach_ycsb(*scenario.handle, ycfg);
   }
-  if (options.stats) {
-    scenario.registry = std::make_unique<stats::Registry>();
-    scenario.collector = std::make_unique<FleetStatsCollector>(
-        scenario.bed.get(), scenario.registry.get());
-    scenario.collector->start(options.stats_interval);
-  }
+  if (options.stats) start_stats(scenario, nullptr);
   return scenario;
 }
 
@@ -183,8 +188,9 @@ void SingleVm::run_migration(double limit_s) {
   mcfg.num_streams = options.num_streams;
   mcfg.compression = options.compression;
   if (options.send_window > 0) mcfg.send_window = options.send_window;
-  migration = bed->make_migration(options.technique, *handle,
-                                  /*dest_reservation=*/0, mcfg);
+  migration = bed->make_migration_to(options.technique, *handle,
+                                     bed->host_at(1), /*dest_reservation=*/0,
+                                     mcfg);
   migration->start();
   double deadline = bed->cluster().now_seconds() + limit_s;
   while (!migration->completed() && bed->cluster().now_seconds() < deadline) {
@@ -196,12 +202,8 @@ WssTracking make_wss_tracking(const WssTrackingOptions& options) {
   WssTracking scenario;
   scenario.options = options;
 
-  TestbedConfig cfg;
-  cfg.cluster.seed = options.seed;
-  cfg.source.ram = options.host_ram;
-  cfg.dest = cfg.source;
-  cfg.dest.name = "dest";
-  scenario.bed = std::make_unique<Testbed>(cfg);
+  scenario.bed = std::make_unique<Testbed>(two_host_bed(
+      options.seed, options.host_ram, host::HostConfig().host_os_bytes));
   Testbed& bed = *scenario.bed;
 
   VmSpec spec;
@@ -217,11 +219,7 @@ WssTracking make_wss_tracking(const WssTrackingOptions& options) {
   ycfg.guest_os_bytes = options.guest_os;
   ycfg.active_bytes = options.dataset;
   ycfg.read_fraction = 0.95;
-  auto load = std::make_unique<workload::YcsbWorkload>(
-      scenario.handle->machine, &bed.cluster().network(), bed.client_node(),
-      ycfg, bed.make_rng("vm0/ycsb"));
-  scenario.ycsb = load.get();
-  bed.attach_workload(*scenario.handle, std::move(load));
+  scenario.ycsb = bed.attach_ycsb(*scenario.handle, ycfg);
 
   scenario.controller = std::make_unique<wss::ReservationController>(
       &bed.cluster(), scenario.handle->machine, options.wss);
@@ -232,7 +230,7 @@ WssTracking make_wss_tracking(const WssTrackingOptions& options) {
 
 void WssTracking::load() {
   ycsb->load(0);
-  bed->source()->ssd()->advance(sec(36000));
+  drain_ssd(*bed);
 }
 
 Fleet make_fleet(const FleetOptions& options) {
@@ -261,6 +259,7 @@ Fleet make_fleet(const FleetOptions& options) {
                     "hot_per_rack needs racks, spread_initial, and a hot set "
                     "divisible by racks");
   }
+  cfg.hosts.clear();  // host0..hostN-1 replace the default pair
   for (std::uint32_t i = 0; i < options.host_count; ++i) {
     host::HostConfig host_cfg = named_host("host" + std::to_string(i));
     host_cfg.ram = i == 0 ? options.source_ram : options.dest_ram;
@@ -292,11 +291,7 @@ Fleet make_fleet(const FleetOptions& options) {
     ycfg.active_bytes = options.initial_active;
     ycfg.read_fraction = options.read_fraction;
     ycfg.concurrency = options.ycsb_concurrency;
-    auto load = std::make_unique<workload::YcsbWorkload>(
-        h.machine, &bed.cluster().network(), bed.client_node(), ycfg,
-        bed.make_rng(spec.name + "/ycsb"));
-    scenario.ycsbs.push_back(load.get());
-    bed.attach_workload(h, std::move(load));
+    scenario.ycsbs.push_back(bed.attach_ycsb(h, ycfg));
   }
 
   MigrationOrchestratorConfig ocfg;
@@ -313,11 +308,7 @@ Fleet make_fleet(const FleetOptions& options) {
         &bed, scenario.orchestrator.get(), options.rebalancer_config);
   }
   if (options.stats) {
-    scenario.registry = std::make_unique<stats::Registry>();
-    scenario.collector = std::make_unique<FleetStatsCollector>(
-        scenario.bed.get(), scenario.registry.get());
-    scenario.collector->set_orchestrator(scenario.orchestrator.get());
-    scenario.collector->start(options.stats_interval);
+    start_stats(scenario, scenario.orchestrator.get());
     // After the collector (which registers the fleet's static metric set):
     // the rebalancer's counters append in a fixed order.
     if (scenario.rebalancer != nullptr) {

@@ -18,9 +18,6 @@ const char* technique_name(Technique technique) {
 
 Testbed::Testbed(TestbedConfig config)
     : config_(config), cluster_(config.cluster) {
-  if (config_.hosts.empty()) {
-    config_.hosts = {config_.source, config_.dest};
-  }
   AGILE_CHECK_MSG(config_.hosts.size() >= 2,
                   "a testbed needs at least two hosts");
   for (const host::HostConfig& host_cfg : config_.hosts) {
@@ -127,6 +124,16 @@ void Testbed::attach_workload(VmHandle& handle,
   AGILE_CHECK_MSG(where != nullptr, "VM is not on any fleet host");
   where->detach_vm(handle.machine);
   where->attach_vm(handle.machine, handle.load);
+}
+
+workload::YcsbWorkload* Testbed::attach_ycsb(
+    VmHandle& handle, const workload::YcsbConfig& config) {
+  auto load = std::make_unique<workload::YcsbWorkload>(
+      handle.machine, &cluster_.network(), client_node_, config,
+      make_rng(handle.machine->name() + "/ycsb"));
+  workload::YcsbWorkload* ycsb = load.get();
+  attach_workload(handle, std::move(load));
+  return ycsb;
 }
 
 std::vector<std::uint32_t> Testbed::plan_lanes(std::size_t host_count,

@@ -90,11 +90,12 @@ TEST(Testbed, CreateVmAttachesToSource) {
   spec.memory = 128_MiB;
   spec.reservation = 64_MiB;
   core::VmHandle& h = bed.create_vm(spec);
-  EXPECT_TRUE(bed.source()->has_vm(h.machine));
-  EXPECT_FALSE(bed.dest()->has_vm(h.machine));
+  EXPECT_TRUE(bed.host_at(0)->has_vm(h.machine));
+  EXPECT_FALSE(bed.host_at(1)->has_vm(h.machine));
   EXPECT_EQ(h.machine->memory().reservation(), 64_MiB);
   EXPECT_EQ(h.per_vm_swap, nullptr);
-  EXPECT_EQ(h.machine->memory().swap_device(), bed.source()->swap_partition());
+  EXPECT_EQ(h.machine->memory().swap_device(),
+            bed.host_at(0)->swap_partition());
 }
 
 TEST(Testbed, PerVmSwapBindingCreatesNamespace) {
@@ -165,9 +166,9 @@ TEST(Host, MemoryInUseTracksResidentSets) {
   spec.memory = 128_MiB;
   spec.reservation = 64_MiB;
   core::VmHandle& h = bed.create_vm(spec);
-  Bytes before = bed.source()->memory_in_use();
+  Bytes before = bed.host_at(0)->memory_in_use();
   h.machine->memory().prefill(h.machine->page_count(), 0);
-  EXPECT_EQ(bed.source()->memory_in_use(), before + 64_MiB);
+  EXPECT_EQ(bed.host_at(0)->memory_in_use(), before + 64_MiB);
 }
 
 TEST(Host, MaintenanceEnforcesShrunkenReservations) {

@@ -17,11 +17,11 @@ struct SmallBed {
 
   explicit SmallBed(std::uint64_t seed = 42) {
     cfg.cluster.seed = seed;
-    cfg.source.ram = 1_GiB;
-    cfg.source.host_os_bytes = 32_MiB;
-    cfg.source.swap_partition_bytes = 2_GiB;
-    cfg.dest = cfg.source;
-    cfg.dest.name = "dest";
+    for (host::HostConfig& host_cfg : cfg.hosts) {
+      host_cfg.ram = 1_GiB;
+      host_cfg.host_os_bytes = 32_MiB;
+      host_cfg.swap_partition_bytes = 2_GiB;
+    }
     cfg.vmd_server_capacity = 2_GiB;
     bed = std::make_unique<Testbed>(cfg);
   }
@@ -48,18 +48,6 @@ workload::YcsbConfig small_ycsb() {
   return cfg;
 }
 
-// Attaches a YCSB workload and pre-loads the dataset.
-workload::YcsbWorkload* add_ycsb(Testbed& bed, VmHandle& h,
-                                 workload::YcsbConfig cfg = small_ycsb()) {
-  auto load = std::make_unique<workload::YcsbWorkload>(
-      h.machine, &bed.cluster().network(), bed.client_node(), cfg,
-      bed.make_rng(h.machine->name() + "/ycsb"));
-  auto* raw = load.get();
-  bed.attach_workload(h, std::move(load));
-  raw->load(0);
-  return raw;
-}
-
 // Runs until the migration completes (asserting it does within `limit_s`).
 void run_to_completion(Testbed& bed, migration::MigrationManager& mig,
                        double limit_s = 600) {
@@ -75,8 +63,8 @@ void run_to_completion(Testbed& bed, migration::MigrationManager& mig,
 void expect_fully_migrated(Testbed& bed, VmHandle& h,
                            migration::MigrationManager& mig) {
   EXPECT_EQ(h.machine->memory().remote_pages(), 0u);
-  EXPECT_TRUE(bed.dest()->has_vm(h.machine));
-  EXPECT_FALSE(bed.source()->has_vm(h.machine));
+  EXPECT_TRUE(bed.host_at(1)->has_vm(h.machine));
+  EXPECT_FALSE(bed.host_at(0)->has_vm(h.machine));
   EXPECT_TRUE(h.machine->running());
   EXPECT_GT(mig.metrics().total_time(), 0);
   EXPECT_GE(mig.metrics().downtime, 0);
@@ -92,7 +80,7 @@ TEST(Migration, PrecopyIdleVmCompletes) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
   h.machine->memory().prefill(h.machine->page_count(), 0);  // fully touched
-  auto mig = bed->make_migration(Technique::kPrecopy, h);
+  auto mig = bed->make_migration_to(Technique::kPrecopy, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   expect_fully_migrated(*bed, h, *mig);
@@ -104,7 +92,7 @@ TEST(Migration, PrecopyTransfersAtLeastWholeMemory) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
   h.machine->memory().prefill(h.machine->page_count(), 0);
-  auto mig = bed->make_migration(Technique::kPrecopy, h);
+  auto mig = bed->make_migration_to(Technique::kPrecopy, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   EXPECT_GE(mig->metrics().bytes_transferred, 256_MiB);
@@ -115,13 +103,14 @@ TEST(Migration, PrecopyTransfersAtLeastWholeMemory) {
 TEST(Migration, PrecopyBusyVmRetransmitsDirtyPages) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
-  add_ycsb(*bed, h);
+  bed->attach_ycsb(h, small_ycsb())->load(0);
   bed->cluster().run_for_seconds(5);
   // At this miniature scale a 256 MiB VM transfers in ~2 s, so force the
   // convergence criterion to actually bite: a (near-)zero downtime target.
   migration::MigrationConfig cfg;
   cfg.downtime_target = msec(2);
-  auto mig = bed->make_migration(Technique::kPrecopy, h, 0, cfg);
+  auto mig =
+      bed->make_migration_to(Technique::kPrecopy, h, bed->host_at(1), 0, cfg);
   mig->start();
   run_to_completion(*bed, *mig);
   expect_fully_migrated(*bed, h, *mig);
@@ -133,7 +122,7 @@ TEST(Migration, PostcopyIdleVmCompletes) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
   h.machine->memory().prefill(h.machine->page_count(), 0);
-  auto mig = bed->make_migration(Technique::kPostcopy, h);
+  auto mig = bed->make_migration_to(Technique::kPostcopy, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   expect_fully_migrated(*bed, h, *mig);
@@ -144,11 +133,11 @@ TEST(Migration, PostcopyFlipsQuicklyAndDowntimeIsSmall) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
   h.machine->memory().prefill(h.machine->page_count(), 0);
-  auto mig = bed->make_migration(Technique::kPostcopy, h);
+  auto mig = bed->make_migration_to(Technique::kPostcopy, h, bed->host_at(1));
   mig->start();
   bed->cluster().run_for_seconds(2.0);
   // Execution must already be at the destination long before completion.
-  EXPECT_TRUE(bed->dest()->has_vm(h.machine));
+  EXPECT_TRUE(bed->host_at(1)->has_vm(h.machine));
   EXPECT_TRUE(h.machine->running());
   run_to_completion(*bed, *mig);
   EXPECT_LT(mig->metrics().downtime, sec(1.5));
@@ -158,10 +147,11 @@ TEST(Migration, PostcopyFlipsQuicklyAndDowntimeIsSmall) {
 TEST(Migration, PostcopyBusyVmDemandPages) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
-  auto* ycsb = add_ycsb(*bed, h);
+  auto* ycsb = bed->attach_ycsb(h, small_ycsb());
+  ycsb->load(0);
   bed->cluster().run_for_seconds(5);
   std::uint64_t ops_before = ycsb->ops_total();
-  auto mig = bed->make_migration(Technique::kPostcopy, h);
+  auto mig = bed->make_migration_to(Technique::kPostcopy, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   expect_fully_migrated(*bed, h, *mig);
@@ -173,10 +163,11 @@ TEST(Migration, PostcopyBusyVmDemandPages) {
 TEST(Migration, PostcopyTransfersEachPageOnce) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kHostPartition));
-  auto* ycsb = add_ycsb(*bed, h);
+  auto* ycsb = bed->attach_ycsb(h, small_ycsb());
+  ycsb->load(0);
   (void)ycsb;
   bed->cluster().run_for_seconds(5);
-  auto mig = bed->make_migration(Technique::kPostcopy, h);
+  auto mig = bed->make_migration_to(Technique::kPostcopy, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   std::uint64_t unique_payloads = mig->metrics().pages_sent_full +
@@ -194,10 +185,10 @@ TEST(Migration, AgileIdleVmSkipsColdPages) {
   h.machine->memory().prefill(h.machine->page_count(), 0);
   std::uint64_t cold_before = h.per_vm_swap->stored_pages();
   EXPECT_GT(cold_before, pages_for(100_MiB));  // half the VM is cold
-  auto mig = bed->make_migration(Technique::kAgile, h);
+  auto mig = bed->make_migration_to(Technique::kAgile, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
-  EXPECT_TRUE(bed->dest()->has_vm(h.machine));
+  EXPECT_TRUE(bed->host_at(1)->has_vm(h.machine));
   // Only the resident set crossed the wire: well under half the VM + headers.
   EXPECT_LT(mig->metrics().bytes_transferred, 160_MiB);
   EXPECT_GE(mig->metrics().pages_sent_descriptor, cold_before);
@@ -210,23 +201,24 @@ TEST(Migration, AgileNeverTouchesSourceSsd) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kPerVmDevice));
   h.machine->memory().prefill(h.machine->page_count(), 0);
-  std::uint64_t ssd_reads_before = bed->source()->ssd()->stats().reads;
-  auto mig = bed->make_migration(Technique::kAgile, h);
+  std::uint64_t ssd_reads_before = bed->host_at(0)->ssd()->stats().reads;
+  auto mig = bed->make_migration_to(Technique::kAgile, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
-  EXPECT_EQ(bed->source()->ssd()->stats().reads, ssd_reads_before);
+  EXPECT_EQ(bed->host_at(0)->ssd()->stats().reads, ssd_reads_before);
   EXPECT_EQ(mig->metrics().pages_swapped_in_at_source, 0u);
 }
 
 TEST(Migration, AgileBusyVmPushesOnlyDirtySet) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kPerVmDevice));
-  auto* ycsb = add_ycsb(*bed, h);
+  auto* ycsb = bed->attach_ycsb(h, small_ycsb());
+  ycsb->load(0);
   bed->cluster().run_for_seconds(5);
-  auto mig = bed->make_migration(Technique::kAgile, h);
+  auto mig = bed->make_migration_to(Technique::kAgile, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
-  EXPECT_TRUE(bed->dest()->has_vm(h.machine));
+  EXPECT_TRUE(bed->host_at(1)->has_vm(h.machine));
   EXPECT_TRUE(h.machine->running());
   EXPECT_EQ(h.machine->memory().remote_pages(), 0u);  // dirty set fully owed & paid
   EXPECT_GT(ycsb->ops_total(), 0u);
@@ -243,12 +235,12 @@ TEST(Migration, AgileBusyVmPushesOnlyDirtySet) {
 TEST(Migration, AgilePushSwapInsAreNotSourceSsdReads) {
   SmallBed bed;
   VmHandle& a = bed->create_vm(small_vm("agile-vm", SwapBinding::kPerVmDevice));
-  add_ycsb(*bed, a);
+  bed->attach_ycsb(a, small_ycsb())->load(0);
   VmHandle& b = bed->create_vm(small_vm("postcopy-vm", SwapBinding::kHostPartition));
   b.machine->memory().prefill(pages_for(192_MiB), 0);  // cold tail on the SSD
   bed->cluster().run_for_seconds(2);
 
-  auto agile = bed->make_migration(Technique::kAgile, a);
+  auto agile = bed->make_migration_to(Technique::kAgile, a, bed->host_at(1));
   agile->start();
   // Stop while the flip is in flight: live round over, dirty set fixed, the
   // VM suspended and nothing pushed yet.
@@ -271,7 +263,7 @@ TEST(Migration, AgilePushSwapInsAreNotSourceSsdReads) {
 
   // Post-copy on the same bed counts every push swap-in (an idle VM takes no
   // demand faults, so those are all of its source swap-ins).
-  auto post = bed->make_migration(Technique::kPostcopy, b);
+  auto post = bed->make_migration_to(Technique::kPostcopy, b, bed->host_at(1));
   const std::uint64_t post_reads_before = b.machine->memory().stats().swap_ins;
   post->start();
   run_to_completion(*bed, *post);
@@ -284,10 +276,11 @@ TEST(Migration, AgilePushSwapInsAreNotSourceSsdReads) {
 TEST(Migration, AgileSlotOwnershipHandsOverCleanly) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kPerVmDevice));
-  auto* ycsb = add_ycsb(*bed, h);
+  auto* ycsb = bed->attach_ycsb(h, small_ycsb());
+  ycsb->load(0);
   (void)ycsb;
   bed->cluster().run_for_seconds(5);
-  auto mig = bed->make_migration(Technique::kAgile, h);
+  auto mig = bed->make_migration_to(Technique::kAgile, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   // Every slot still allocated on the per-VM device must be referenced by
@@ -303,9 +296,10 @@ TEST(Migration, AgileSlotOwnershipHandsOverCleanly) {
 TEST(Migration, AgileDestReadsColdPagesFromVmdAfterMigration) {
   SmallBed bed;
   VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kPerVmDevice));
-  auto* ycsb = add_ycsb(*bed, h);
+  auto* ycsb = bed->attach_ycsb(h, small_ycsb());
+  ycsb->load(0);
   bed->cluster().run_for_seconds(5);
-  auto mig = bed->make_migration(Technique::kAgile, h);
+  auto mig = bed->make_migration_to(Technique::kAgile, h, bed->host_at(1));
   mig->start();
   run_to_completion(*bed, *mig);
   // Widen the active set: the workload now touches cold pages, which must be
@@ -321,9 +315,9 @@ TEST(Migration, TechniquesAreDeterministic) {
   auto run_once = [](std::uint64_t seed) {
     SmallBed bed(seed);
     VmHandle& h = bed->create_vm(small_vm("vm1", SwapBinding::kPerVmDevice));
-    add_ycsb(*bed, h);
+    bed->attach_ycsb(h, small_ycsb())->load(0);
     bed->cluster().run_for_seconds(5);
-    auto mig = bed->make_migration(Technique::kAgile, h);
+    auto mig = bed->make_migration_to(Technique::kAgile, h, bed->host_at(1));
     mig->start();
     double deadline = bed->cluster().now_seconds() + 600;
     while (!mig->completed() && bed->cluster().now_seconds() < deadline) {
@@ -346,9 +340,9 @@ TEST(Migration, AgileFasterAndLeanerThanBaselinesUnderPressure) {
                               ? SwapBinding::kPerVmDevice
                               : SwapBinding::kHostPartition;
     VmHandle& h = bed->create_vm(small_vm("vm1", binding));
-    add_ycsb(*bed, h);
+    bed->attach_ycsb(h, small_ycsb())->load(0);
     bed->cluster().run_for_seconds(5);
-    auto mig = bed->make_migration(technique, h);
+    auto mig = bed->make_migration_to(technique, h, bed->host_at(1));
     mig->start();
     double deadline = bed->cluster().now_seconds() + 600;
     while (!mig->completed() && bed->cluster().now_seconds() < deadline) {

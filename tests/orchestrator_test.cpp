@@ -18,11 +18,11 @@ struct OrchestratorBed {
 
   explicit OrchestratorBed(int vm_count, Bytes host_ram = 2_GiB,
                            Bytes dest_ram = 0) {
-    cfg.source.ram = host_ram;
-    cfg.source.host_os_bytes = 64_MiB;
-    cfg.dest = cfg.source;
-    cfg.dest.name = "dest";
-    if (dest_ram != 0) cfg.dest.ram = dest_ram;
+    for (host::HostConfig& host_cfg : cfg.hosts) {
+      host_cfg.ram = host_ram;
+      host_cfg.host_os_bytes = 64_MiB;
+    }
+    if (dest_ram != 0) cfg.hosts[1].ram = dest_ram;
     cfg.vmd_server_capacity = 8_GiB;
     bed = std::make_unique<Testbed>(cfg);
     for (int i = 0; i < vm_count; ++i) {
@@ -44,7 +44,7 @@ struct OrchestratorBed {
       bed->attach_workload(h, std::move(load));
       ycsbs.back()->load(0);
     }
-    bed->source()->ssd()->advance(sec(3600));
+    bed->host_at(0)->ssd()->advance(sec(3600));
   }
 
   MigrationOrchestratorConfig brisk() {
@@ -64,7 +64,7 @@ TEST(MigrationOrchestrator, NoPressureNoMigration) {
   EXPECT_EQ(orch.migrations_launched(), 0u);
   EXPECT_FALSE(orch.last_decision().pressure);
   EXPECT_TRUE(orch.decisions().empty());
-  EXPECT_EQ(ob.bed->dest()->vm_count(), 0u);
+  EXPECT_EQ(ob.bed->host_at(1)->vm_count(), 0u);
 }
 
 TEST(MigrationOrchestrator, MigratesWhenAWorkingSetGrows) {
@@ -79,10 +79,10 @@ TEST(MigrationOrchestrator, MigratesWhenAWorkingSetGrows) {
   ob.ycsbs[1]->set_active_bytes(768_MiB);
   ob.bed->cluster().run_for_seconds(250);
   ASSERT_GE(orch.migrations_launched(), 1u);
-  EXPECT_TRUE(ob.bed->dest()->has_vm(ob.handles[1]->machine));
-  EXPECT_TRUE(ob.bed->source()->has_vm(ob.handles[0]->machine));
+  EXPECT_TRUE(ob.bed->host_at(1)->has_vm(ob.handles[1]->machine));
+  EXPECT_TRUE(ob.bed->host_at(0)->has_vm(ob.handles[0]->machine));
   EXPECT_TRUE(orch.migrations()[0]->completed());
-  EXPECT_EQ(ob.bed->host_of(ob.handles[1]->machine), ob.bed->dest());
+  EXPECT_EQ(ob.bed->host_of(ob.handles[1]->machine), ob.bed->host_at(1));
 }
 
 TEST(MigrationOrchestrator, PerLinkCapSerializesWhenOne) {
@@ -162,7 +162,7 @@ TEST(MigrationOrchestrator, InsufficientHostIsFlagged) {
   // The host OS alone exceeds the low watermark: evicting the only VM still
   // leaves the host over it, and the decision must say so.
   OrchestratorBed ob(0, 1_GiB, /*dest_ram=*/4_GiB);
-  ob.cfg.source.host_os_bytes = 960_MiB;  // > 0.90 × 1 GiB
+  ob.cfg.hosts[0].host_os_bytes = 960_MiB;  // > 0.90 × 1 GiB
   ob.cfg.vmd_server_capacity = 8_GiB;
   ob.bed = std::make_unique<Testbed>(ob.cfg);
   VmSpec spec;
@@ -181,7 +181,7 @@ TEST(MigrationOrchestrator, InsufficientHostIsFlagged) {
   workload::YcsbWorkload* y = load.get();
   ob.bed->attach_workload(h, std::move(load));
   y->load(0);
-  ob.bed->source()->ssd()->advance(sec(3600));
+  ob.bed->host_at(0)->ssd()->advance(sec(3600));
 
   MigrationOrchestrator orch(ob.bed.get(), ob.brisk());
   orch.track(&h);
@@ -274,6 +274,7 @@ TEST(MigrationOrchestrator, MultiVictimConcurrentSpread) {
 TEST(MigrationOrchestrator, SharedLinkSplitsFairly) {
   auto build = [](int vm_count) {
     TestbedConfig cfg;
+    cfg.hosts.clear();
     for (int i = 0; i < 3; ++i) {
       host::HostConfig hc = named_host("host" + std::to_string(i));
       hc.ram = 4_GiB;

@@ -380,10 +380,10 @@ TEST_P(MigrationMatrix, InvariantsHold) {
   const MigrationCase& c = GetParam();
   core::TestbedConfig cfg;
   cfg.cluster.seed = c.seed;
-  cfg.source.ram = 1_GiB;
-  cfg.source.host_os_bytes = 32_MiB;
-  cfg.dest = cfg.source;
-  cfg.dest.name = "dest";
+  for (host::HostConfig& host_cfg : cfg.hosts) {
+    host_cfg.ram = 1_GiB;
+    host_cfg.host_os_bytes = 32_MiB;
+  }
   cfg.vmd_server_capacity = 2_GiB;
   core::Testbed bed(cfg);
 
@@ -420,7 +420,7 @@ TEST_P(MigrationMatrix, InvariantsHold) {
   raw->load(0);
   bed.cluster().run_for_seconds(3);
 
-  auto mig = bed.make_migration(c.technique, h);
+  auto mig = bed.make_migration_to(c.technique, h, bed.host_at(1));
   mig->start();
   double deadline = bed.cluster().now_seconds() + 600;
   while (!mig->completed() && bed.cluster().now_seconds() < deadline) {
@@ -449,14 +449,14 @@ TEST_P(MigrationMatrix, InvariantsHold) {
   if (c.technique == core::Technique::kAgile) {
     EXPECT_EQ(h.per_vm_swap->used_slots(), referenced);
   } else {
-    EXPECT_LE(referenced, bed.dest()->swap_partition()->used_slots());
+    EXPECT_LE(referenced, bed.host_at(1)->swap_partition()->used_slots());
   }
   // 5. The VM still works: the workload makes progress at the destination.
   std::uint64_t ops_before = raw->ops_total();
   bed.cluster().run_for_seconds(3);
   EXPECT_GT(raw->ops_total(), ops_before);
   // 6. Execution really moved.
-  EXPECT_TRUE(bed.dest()->has_vm(h.machine));
+  EXPECT_TRUE(bed.host_at(1)->has_vm(h.machine));
   EXPECT_GE(mig->metrics().downtime, 0);
   EXPECT_GT(mig->metrics().bytes_transferred, 0u);
 }

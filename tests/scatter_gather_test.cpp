@@ -17,10 +17,10 @@ struct Bed {
 
   explicit Bed(bool busy, std::uint64_t seed = 42) {
     cfg.cluster.seed = seed;
-    cfg.source.ram = 1_GiB;
-    cfg.source.host_os_bytes = 32_MiB;
-    cfg.dest = cfg.source;
-    cfg.dest.name = "dest";
+    for (host::HostConfig& host_cfg : cfg.hosts) {
+      host_cfg.ram = 1_GiB;
+      host_cfg.host_os_bytes = 32_MiB;
+    }
     cfg.vmd_server_capacity = 2_GiB;
     bed = std::make_unique<Testbed>(cfg);
     VmSpec spec;
@@ -47,7 +47,8 @@ struct Bed {
   }
 
   migration::ScatterGatherMigration* run(double limit_s = 600) {
-    auto mig = bed->make_migration(Technique::kScatterGather, *handle);
+    auto mig = bed->make_migration_to(Technique::kScatterGather, *handle,
+                                      bed->host_at(1));
     auto* sg = static_cast<migration::ScatterGatherMigration*>(mig.get());
     migration_ = std::move(mig);
     migration_->start();
@@ -73,7 +74,7 @@ TEST(ScatterGather, IdleVmDeprovisionsAndStaysConsistent) {
   EXPECT_EQ(bed.handle->machine->memory().remote_pages(), 0u);
   bed.handle->machine->memory().check_consistency();
   bed.migration_->source_memory()->check_consistency();
-  EXPECT_TRUE(bed.bed->dest()->has_vm(bed.handle->machine));
+  EXPECT_TRUE(bed.bed->host_at(1)->has_vm(bed.handle->machine));
 }
 
 TEST(ScatterGather, ResidentSetTravelsThroughVmdNotTheWire) {
@@ -99,11 +100,12 @@ TEST(ScatterGather, DeprovisionsFasterWhenDestinationIsCongested) {
     Bed bed(/*busy=*/false);
     // Saturate dest ingress with a persistent bulk flow.
     net::Network& net = bed.bed->cluster().network();
-    net::FlowId noise = net.open_flow(bed.bed->client_node(),
-                                      bed.bed->dest()->node(), [](Bytes) {});
+    net::FlowId noise = net.open_flow(
+        bed.bed->client_node(), bed.bed->host_at(1)->node(), [](Bytes) {});
     auto feeder = bed.bed->cluster().simulation().schedule_periodic(
         msec(100), [&net, noise](SimTime) { net.offer(noise, 16_MiB); }, 0);
-    auto mig = bed.bed->make_migration(technique, *bed.handle);
+    auto mig = bed.bed->make_migration_to(technique, *bed.handle,
+                                          bed.bed->host_at(1));
     mig->start();
     double deadline = bed.bed->cluster().now_seconds() + 600;
     while (!mig->completed() && bed.bed->cluster().now_seconds() < deadline) {

@@ -29,7 +29,7 @@ TEST(ConsolidationScenario, BuildsTopologyPerTechnique) {
     EXPECT_EQ(sc.loads.size(), 2u);
     EXPECT_EQ(sc.probes.size(), 2u);
     for (VmHandle* h : sc.handles) {
-      EXPECT_TRUE(sc.bed->source()->has_vm(h->machine));
+      EXPECT_TRUE(sc.bed->host_at(0)->has_vm(h->machine));
       if (t == Technique::kAgile) {
         EXPECT_NE(h->per_vm_swap, nullptr);
       } else {
@@ -70,7 +70,7 @@ TEST(ConsolidationScenario, ScheduledMigrationFiresAndCompletes) {
   EXPECT_FALSE(sc.migration->started());
   sc.bed->cluster().run_for_seconds(120);
   EXPECT_TRUE(sc.migration->completed());
-  EXPECT_TRUE(sc.bed->dest()->has_vm(sc.handles[0]->machine));
+  EXPECT_TRUE(sc.bed->host_at(1)->has_vm(sc.handles[0]->machine));
 }
 
 TEST(ConsolidationScenario, AverageThroughputAveragesProbes) {
@@ -115,7 +115,7 @@ TEST(SingleVmScenario, BusyVmRunsAClient) {
   EXPECT_GT(sc.ycsb->ops_total(), 0u);
   sc.run_migration(600);
   ASSERT_TRUE(sc.migration->completed());
-  EXPECT_TRUE(sc.bed->dest()->has_vm(sc.handle->machine));
+  EXPECT_TRUE(sc.bed->host_at(1)->has_vm(sc.handle->machine));
 }
 
 TEST(WssScenario, BuildsTrackedVm) {

@@ -243,7 +243,7 @@ struct ControllerBed {
   workload::YcsbWorkload* ycsb = nullptr;
 
   ControllerBed() {
-    cfg.source.ram = 8_GiB;
+    cfg.hosts[0].ram = 8_GiB;
     cfg.vmd_server_capacity = 4_GiB;
     bed = std::make_unique<core::Testbed>(cfg);
     core::VmSpec spec;
