@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Determinism matrix for the fleet consolidation bench (quick mode).
 #
-# `run` executes each distinct configuration once, into <outdir>/<config>:
+# `run <config>` executes one distinct configuration, into <outdir>/<config>
+# (ctest runs each as its own fixture setup, so `ctest -j` spreads them):
 #
 #   off_lanes{1,2,8}  AGILE_STATS unset, AGILE_SIM_LANES = 1, 2, 8
 #   off_jobs2         AGILE_STATS unset, AGILE_BENCH_JOBS = 2
@@ -13,6 +14,7 @@
 # stdout.txt beside the outputs.) Every other
 # mode byte-compares one property over those outputs:
 #
+#   matrix       FLEET_GOLDEN identical across all nine configurations
 #   fleet_jobs   FLEET_GOLDEN identical at AGILE_BENCH_JOBS = 1, 2
 #   fleet_lanes  FLEET_GOLDEN identical at AGILE_SIM_LANES = 1, 2, 8
 #   stats_lanes  stats files identical at AGILE_SIM_LANES = 1, 2, 8
@@ -21,15 +23,21 @@
 #   stats_off    with AGILE_STATS unset, FLEET_GOLDEN matches the stats-on
 #                run (instrumentation must not perturb the simulation)
 #
-# Usage: check_fleet_determinism.sh run <fleet_consolidation binary> <outdir>
+# Usage: check_fleet_determinism.sh run <config> <fleet_consolidation binary>
+#                                      <outdir>
 #        check_fleet_determinism.sh <mode> <outdir>
 set -euo pipefail
 
 mode=$1
 
+# Keep in sync with FLEET_MATRIX_CONFIGS in bench/CMakeLists.txt.
+configs="off_lanes1 off_lanes2 off_lanes8 off_jobs2 on_lanes1 on_lanes2
+         on_lanes8 on_jobs4 on_audit"
+
 run() {  # run <config> [VAR=VAL ...] — one quick fleet bench into $out/<config>
   local dir="$out/$1"
   shift
+  rm -rf "$dir"  # a stale output must never pass a leg
   mkdir -p "$dir"
   env AGILE_BENCH_QUICK=1 AGILE_BENCH_JOBS=1 AGILE_SIM_LANES=1 \
       AGILE_BENCH_OUT="$dir" "$@" "$bin" > "$dir/stdout.txt"
@@ -50,17 +58,29 @@ cmp_stats() {  # cmp_stats <config_a> <config_b> — diff every stats artifact
 
 case "$mode" in
   run)
-    bin=$2
-    out=$3
-    rm -rf "$out"  # a stale output must never pass a leg
-    for lanes in 1 2 8; do
-      run "off_lanes$lanes" AGILE_SIM_LANES="$lanes"
-      run "on_lanes$lanes" AGILE_SIM_LANES="$lanes" \
-          AGILE_STATS="$out/on_lanes$lanes/s"
+    config=$2
+    bin=$3
+    out=$4
+    case "$config" in
+      off_lanes[128]) run "$config" AGILE_SIM_LANES="${config#off_lanes}" ;;
+      on_lanes[128])
+        run "$config" AGILE_SIM_LANES="${config#on_lanes}" \
+            AGILE_STATS="$out/$config/s"
+        ;;
+      off_jobs2) run off_jobs2 AGILE_BENCH_JOBS=2 ;;
+      on_jobs4) run on_jobs4 AGILE_BENCH_JOBS=4 AGILE_STATS="$out/on_jobs4/s" ;;
+      on_audit) run on_audit AGILE_AUDIT=1 AGILE_STATS="$out/on_audit/s" ;;
+      *)
+        echo "unknown config: $config" >&2
+        exit 2
+        ;;
+    esac
+    ;;
+  matrix)
+    out=$2
+    for c in $configs; do
+      cmp_golden off_lanes1 "$c"
     done
-    run off_jobs2 AGILE_BENCH_JOBS=2
-    run on_jobs4 AGILE_BENCH_JOBS=4 AGILE_STATS="$out/on_jobs4/s"
-    run on_audit AGILE_AUDIT=1 AGILE_STATS="$out/on_audit/s"
     ;;
   fleet_jobs)
     out=$2

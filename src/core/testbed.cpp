@@ -32,7 +32,8 @@ Testbed::Testbed(TestbedConfig config)
     server_cfg.service_time = 3;
     server_cfg.disk_capacity = config_.vmd_server_disk;
     vmd_servers_.push_back(
-        std::make_unique<vmd::VmdServer>(name, node, server_cfg));
+        std::make_unique<vmd::VmdServer>(name, node, server_cfg,
+                                         cluster_.lanes()));
   }
   if (!vmd_servers_.empty()) {
     // Intermediate hosts are not full Host objects; drain their (optional)

@@ -46,6 +46,7 @@ Cluster::Cluster(ClusterConfig config)
     lane_cfg.lanes = lane_count_;
     lane_cfg.pool = lane_pool_.get();
     lanes_ = std::make_unique<sim::LaneCoordinator>(lane_cfg);
+    net_.bind_lanes(lanes_.get());
     // Lane threads need this cluster's clock for log/trace stamps. The time
     // sources are thread-local, so pool workers start with none installed —
     // without this hook their trace events would all stamp ts=0. Restore

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/lanes.hpp"
 #include "trace/trace.hpp"
 
 namespace agile::net {
@@ -24,11 +25,19 @@ Network::Network(NetworkConfig config)
           ? config_.flow_max_bits_per_sec / 8.0 * config_.protocol_efficiency
           : std::numeric_limits<double>::infinity();
   links_.resize(topo_.link_count());  // leaf links exist before any node
+  background_.reshape(background_.rows(), links_.size());
+}
+
+void Network::bind_lanes(const sim::LaneCoordinator* lanes) {
+  lanes_ = lanes;
+  background_.reshape(lanes != nullptr ? lanes->lane_count() : 1,
+                      links_.size());
 }
 
 NodeId Network::add_node(std::string name, std::uint32_t rack) {
   NodeId id = topo_.add_node(rack);
   links_.resize(topo_.link_count());
+  background_.reshape(background_.rows(), links_.size());
   nodes_.push_back(Node{std::move(name), {}});
   AGILE_CHECK(nodes_.size() == topo_.node_count());
   return id;
@@ -73,12 +82,13 @@ void Network::close_flow(FlowId flow) {
 
 void Network::consume_background(NodeId src, NodeId dst, Bytes bytes) {
   AGILE_CHECK(src < nodes_.size() && dst < nodes_.size());
-  // Relaxed adds: callable concurrently from parallel event lanes (workload
-  // client traffic, demand-fault RPCs); advance() reads the sums only after
-  // the lane barrier.
+  // Callable concurrently from parallel event lanes (workload client
+  // traffic, demand-fault RPCs, VMD page writes): each lane adds to its own
+  // row, and advance() sums the rows only after the lane barrier.
+  const std::size_t row = sim::LaneCoordinator::thread_lane(lanes_);
   Topology::Path path = topo_.route(src, dst);
   for (std::uint8_t i = 0; i < path.count; ++i) {
-    links_[path.link[i]].background.add(bytes);
+    background_.add(row, path.link[i], static_cast<std::int64_t>(bytes));
   }
 }
 
@@ -107,11 +117,11 @@ void Network::advance(SimTime dt) {
   const double dt_sec = to_seconds(dt);
   const std::size_t link_count = links_.size();
 
-  // One read per background cell this quantum (the lane barrier has already
+  // One sum per link over the lane rows (the lane barrier has already
   // joined, so the sums are final).
   std::vector<Bytes> background(link_count);
   for (std::size_t l = 0; l < link_count; ++l) {
-    background[l] = links_[l].background;
+    background[l] = static_cast<Bytes>(background_.sum(l));
   }
 
   // Per-link remaining capacity after this quantum's background traffic.
@@ -234,8 +244,8 @@ void Network::advance(SimTime dt) {
     link.bytes_total += background[l];
     link.util = std::min(
         1.0, (flow_link[l] + static_cast<double>(background[l])) / quantum_cap[l]);
-    link.background = 0;
   }
+  background_.reset();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     NodeId id = static_cast<NodeId>(i);
     nodes_[i].stats.tx_bytes += background[topo_.host_up(id)];

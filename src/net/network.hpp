@@ -34,9 +34,13 @@
 #include <vector>
 
 #include "net/topology.hpp"
-#include "util/relaxed_cell.hpp"
+#include "util/lane_sums.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
+
+namespace agile::sim {
+class LaneCoordinator;
+}  // namespace agile::sim
 
 namespace agile::net {
 
@@ -75,6 +79,11 @@ struct TierTotals {
 class Network {
  public:
   explicit Network(NetworkConfig config = {});
+
+  /// Shapes the background accumulators for the event lanes of `lanes` (one
+  /// row per lane; null for a cluster without lanes). Call between windows,
+  /// before any lane event of `lanes` sends traffic.
+  void bind_lanes(const sim::LaneCoordinator* lanes);
 
   /// Adds a node on `rack` (kCoreAttached → spine / external). The rack is
   /// ignored by the flat topology.
@@ -158,13 +167,6 @@ class Network {
 
   /// Runtime state of one topology link.
   struct Link {
-    /// Background bytes this quantum, reset in advance(). Relaxed cell:
-    /// parallel event lanes accumulate client traffic and demand-RPC bytes
-    /// concurrently — a commutative sum, so the post-barrier value (the only
-    /// one advance() reads) is interleaving-independent. This member is in
-    /// tools/lane_lint.py's shared-counter registry (LL004): the lint fails
-    /// if it is ever re-declared as a plain integer.
-    util::RelaxedCell<Bytes> background;
     double util = 0.0;  ///< Last quantum.
     Bytes bytes_total = 0;
   };
@@ -182,6 +184,15 @@ class Network {
   double flow_payload_rate_;  ///< bytes/sec usable per flow (inf = uncapped).
   Topology topo_;
   std::vector<Link> links_;
+  /// Background bytes this quantum per link (one column per link), reset in
+  /// advance(). Lane-sharded: parallel event lanes debit the links of client
+  /// traffic, demand RPCs and VMD page writes concurrently, each into its
+  /// own row — a commutative sum, so the post-barrier total (the only one
+  /// advance() reads) is interleaving-independent. This member is in
+  /// tools/lane_lint.py's shared-counter registry (LL004): the lint fails
+  /// if it is ever re-declared as anything but util::LaneSums.
+  util::LaneSums<std::int64_t> background_;
+  const sim::LaneCoordinator* lanes_ = nullptr;  ///< Owner of the rows.
   std::vector<Node> nodes_;
   FlowId next_flow_id_ = 1;
   /// Ordered by id: advance() iterates flows in open order without an extra

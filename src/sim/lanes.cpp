@@ -73,6 +73,14 @@ SimTime LaneCoordinator::thread_event_time(SimTime fallback) {
   return t_lane_ctx.coord != nullptr ? t_lane_ctx.time : fallback;
 }
 
+std::size_t LaneCoordinator::thread_lane(const LaneCoordinator* owner) {
+  if (t_lane_ctx.coord == nullptr) return 0;
+  AGILE_CHECK_MSG(t_lane_ctx.coord == owner,
+                  "lane-sharded sum written from another coordinator's lane");
+  AGILE_CHECK(t_lane_ctx.lane < owner->lanes_);
+  return t_lane_ctx.lane;
+}
+
 void LaneCoordinator::push_channel_event(Channel& ch, SimTime t, EventFn fn) {
   ch.heap.push_back(LaneEvent{t, ch.next_seq++, std::move(fn)});
   std::push_heap(ch.heap.begin(), ch.heap.end(), LaneEventOrder{});

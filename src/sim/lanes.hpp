@@ -111,6 +111,14 @@ class LaneCoordinator {
   /// time rather than the coordinator clock.
   static SimTime thread_event_time(SimTime fallback);
 
+  /// Row of a lane-sharded sum (util::LaneSums) the calling thread may
+  /// write: the lane of the lane event running on this thread, or 0 in
+  /// coordinator context (no lane event running — between windows, or a
+  /// cluster without lanes). `owner` is the coordinator the sum's rows were
+  /// shaped for (null when its cluster runs sequentially); a lane event of
+  /// any other coordinator aborts, as does a lane beyond `owner`'s count.
+  static std::size_t thread_lane(const LaneCoordinator* owner);
+
  private:
   struct LaneEvent {
     SimTime time;

@@ -9,9 +9,10 @@
 //       predictable branch at the call site.
 //
 //   AGILE_CHECK_S(expr) << "context " << v — always compiled, always on,
-//       with streamed context. Use on cold paths (round boundaries, protocol
-//       transitions) where naming the offending page/byte count is worth a
-//       few extra instructions of failure-path code.
+//       with streamed context. A passing check costs what AGILE_CHECK does:
+//       the message stream is built, and the streamed operands evaluated,
+//       only when the check fails — so streamed operands must not have side
+//       effects. Cheap enough for the deep auditors' per-bit sweeps.
 //
 //   AGILE_DCHECK / AGILE_DCHECK_EQ / _NE / _LT / _LE / _GT / _GE — compiled
 //       only when the build defines AGILE_AUDIT (the `asan-ubsan` and `tsan`
@@ -42,7 +43,8 @@ namespace detail {
 
 /// Failure-message accumulator behind the streamed check tiers. Holds no
 /// buffer when the check passed; aborts from the destructor when it failed,
-/// after the caller's streamed context has been collected.
+/// after the caller's streamed context has been collected. AGILE_CHECK_S only
+/// constructs one on failure; the _OP forms construct a passing one too.
 class CheckStream {
  public:
   CheckStream() = default;
@@ -78,11 +80,6 @@ class CheckStream {
   const char* expr_ = nullptr;
   std::ostringstream os_;
 };
-
-inline CheckStream make_check(bool ok, const char* file, int line,
-                              const char* expr) {
-  return ok ? CheckStream() : CheckStream(file, line, expr);
-}
 
 /// Evaluates both operands exactly once; on failure the message leads with
 /// their values ("(3 vs 5) ").
@@ -136,8 +133,17 @@ void set_enabled_for_test(bool on);
 
 /// Always-on check with streamed context:
 ///   AGILE_CHECK_S(a == b) << "while installing page " << p;
-#define AGILE_CHECK_S(expr) \
-  ::agile::detail::make_check(static_cast<bool>(expr), __FILE__, __LINE__, #expr)
+/// The streamed operands bind to the `else` branch, so a passing check
+/// neither evaluates them nor builds a CheckStream. The `switch` wrapper
+/// makes the macro one statement: an `else` after it binds to the caller's
+/// `if`, not to the one inside.
+#define AGILE_CHECK_S(expr)                                   \
+  switch (0)                                                  \
+  case 0:                                                     \
+  default:                                                    \
+    if (static_cast<bool>(expr)) {                            \
+    } else                                                    \
+      ::agile::detail::CheckStream(__FILE__, __LINE__, #expr)
 
 #ifdef AGILE_AUDIT
 

@@ -19,7 +19,8 @@
 // covers them instead):
 //   * lane-confined  — owned by exactly one lane thread between barriers
 //     (LaneCoordinator channel heaps, per-lane outboxes, TraceRecorder);
-//   * relaxed cells  — commutative cross-lane sums (util::RelaxedCell).
+//   * relaxed cells  — commutative cross-lane sums (util::RelaxedCell, or
+//     util::LaneSums with one single-writer row per lane).
 #pragma once
 
 #include <condition_variable>

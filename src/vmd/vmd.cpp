@@ -1,9 +1,16 @@
 #include "vmd/vmd.hpp"
 
+#include "sim/lanes.hpp"
+
 namespace agile::vmd {
 
-VmdServer::VmdServer(std::string name, net::NodeId node, VmdServerConfig config)
-    : name_(std::move(name)), node_(node), config_(config) {
+VmdServer::VmdServer(std::string name, net::NodeId node, VmdServerConfig config,
+                     const sim::LaneCoordinator* lanes)
+    : name_(std::move(name)),
+      node_(node),
+      config_(config),
+      lanes_(lanes),
+      pages_(lanes != nullptr ? lanes->lane_count() : 1, /*columns=*/2) {
   AGILE_CHECK(config_.capacity >= kPageSize);
   if (config_.disk_capacity > 0) {
     disk_ = std::make_unique<storage::SsdModel>(config_.disk);
@@ -11,12 +18,13 @@ VmdServer::VmdServer(std::string name, net::NodeId node, VmdServerConfig config)
 }
 
 std::optional<VmdTier> VmdServer::store_page() {
+  const std::size_t row = sim::LaneCoordinator::thread_lane(lanes_);
   if (free_bytes() >= kPageSize) {
-    memory_pages_.add(1);
+    pages_.add(row, static_cast<std::size_t>(VmdTier::kMemory), 1);
     return VmdTier::kMemory;
   }
   if (disk_free_bytes() >= kPageSize && disk_ != nullptr) {
-    disk_pages_.add(1);
+    pages_.add(row, static_cast<std::size_t>(VmdTier::kDisk), 1);
     disk_->submit_write(kPageSize);  // write-behind to the tier device
     return VmdTier::kDisk;
   }
@@ -24,13 +32,9 @@ std::optional<VmdTier> VmdServer::store_page() {
 }
 
 void VmdServer::drop_page(VmdTier tier) {
-  if (tier == VmdTier::kMemory) {
-    AGILE_CHECK(memory_pages_ > 0);
-    memory_pages_.sub(1);
-  } else {
-    AGILE_CHECK(disk_pages_ > 0);
-    disk_pages_.sub(1);
-  }
+  const auto column = static_cast<std::size_t>(tier);
+  AGILE_CHECK(pages_.sum(column) > 0);
+  pages_.add(sim::LaneCoordinator::thread_lane(lanes_), column, -1);
 }
 
 SimTime VmdServer::read_latency(VmdTier tier) {

@@ -26,9 +26,13 @@
 
 #include "net/network.hpp"
 #include "storage/device.hpp"
-#include "util/relaxed_cell.hpp"
+#include "util/lane_sums.hpp"
 #include "util/status.hpp"
 #include "util/units.hpp"
+
+namespace agile::sim {
+class LaneCoordinator;
+}  // namespace agile::sim
 
 namespace agile::vmd {
 
@@ -50,21 +54,24 @@ enum class VmdTier : std::uint8_t { kMemory = 0, kDisk = 1 };
 
 class VmdServer {
  public:
-  VmdServer(std::string name, net::NodeId node, VmdServerConfig config = {});
+  /// `lanes` is the coordinator whose lane events store and drop pages
+  /// here (null when the owning cluster runs without lanes).
+  VmdServer(std::string name, net::NodeId node, VmdServerConfig config = {},
+            const sim::LaneCoordinator* lanes = nullptr);
 
   const std::string& name() const { return name_; }
   net::NodeId node() const { return node_; }
 
   Bytes capacity() const { return config_.capacity; }
-  Bytes used_bytes() const { return memory_pages_ * kPageSize; }
+  Bytes used_bytes() const { return memory_pages() * kPageSize; }
   Bytes free_bytes() const { return config_.capacity - used_bytes(); }
   Bytes disk_capacity() const { return config_.disk_capacity; }
   Bytes disk_free_bytes() const {
-    return config_.disk_capacity - disk_pages_ * kPageSize;
+    return config_.disk_capacity - disk_pages() * kPageSize;
   }
-  std::uint64_t used_pages() const { return memory_pages_ + disk_pages_; }
-  std::uint64_t memory_pages() const { return memory_pages_; }
-  std::uint64_t disk_pages() const { return disk_pages_; }
+  std::uint64_t used_pages() const { return memory_pages() + disk_pages(); }
+  std::uint64_t memory_pages() const { return tier_pages(VmdTier::kMemory); }
+  std::uint64_t disk_pages() const { return tier_pages(VmdTier::kDisk); }
   SimTime service_time() const { return config_.service_time; }
 
   /// Allocate-on-write: memory first, spilling to the disk tier when the
@@ -82,17 +89,23 @@ class VmdServer {
   void advance(SimTime dt);
 
  private:
+  std::uint64_t tier_pages(VmdTier tier) const {
+    return static_cast<std::uint64_t>(
+        pages_.sum(static_cast<std::size_t>(tier)));
+  }
+
   std::string name_;
   net::NodeId node_;
   VmdServerConfig config_;
-  /// Relaxed cells: VMD-bound VMs on different event lanes store/drop frames
-  /// concurrently. The counts are commutative sums, and the lane planner
+  const sim::LaneCoordinator* lanes_;  ///< Owner of the page-count rows.
+  /// Page frames held per tier (column = VmdTier). Lane-sharded: VMD-bound
+  /// VMs on different event lanes store/drop frames concurrently, each lane
+  /// into its own row. The counts are commutative sums, and the lane planner
   /// serializes the fleet whenever placement would actually depend on them
   /// (disk tier configured, or memory within the safety margin of full).
   /// Registered in tools/lane_lint.py's shared-counter registry (LL004):
-  /// re-declaring either as a plain integer fails the lint.
-  util::RelaxedCell<std::uint64_t> memory_pages_;
-  util::RelaxedCell<std::uint64_t> disk_pages_;
+  /// re-declaring it as anything but util::LaneSums fails the lint.
+  util::LaneSums<std::int64_t> pages_;
   std::unique_ptr<storage::SsdModel> disk_;
 };
 

@@ -22,6 +22,27 @@ TEST(CheckTest, PassingChecksAreSilent) {
   AGILE_DCHECK_LE(3, 4);
 }
 
+TEST(CheckTest, PassingStreamedCheckEvaluatesNoStreamedOperand) {
+  int evaluations = 0;
+  auto context = [&evaluations] {
+    ++evaluations;
+    return "context";
+  };
+  AGILE_CHECK_S(2 > 1) << context() << " " << ++evaluations;
+  EXPECT_EQ(evaluations, 0);
+}
+
+TEST(CheckTest, StreamedCheckIsOneStatement) {
+  // An `else` after the macro must bind to the caller's `if`.
+  bool took_else = false;
+  const bool outer = false;
+  if (outer)
+    AGILE_CHECK_S(false) << "outer branch not taken";
+  else
+    took_else = true;
+  EXPECT_TRUE(took_else);
+}
+
 TEST(CheckDeathTest, CheckAborts) {
   EXPECT_DEATH(AGILE_CHECK(1 == 2), "AGILE_CHECK failed");
 }

@@ -16,9 +16,11 @@
 
 #include "core/scenarios.hpp"
 #include "host/cluster.hpp"
+#include "net/network.hpp"
 #include "sim/lanes.hpp"
 #include "trace/trace.hpp"
 #include "util/thread_pool.hpp"
+#include "vmd/vmd.hpp"
 
 namespace agile {
 namespace {
@@ -190,6 +192,108 @@ TEST(LaneCoordinatorDeath, CrossLaneScheduleDies) {
         coord.advance_to(100);
       },
       "AGILE_CHECK failed");
+}
+
+/// What lane events leave behind on shared links and one VMD server.
+struct SharedSumState {
+  std::vector<Bytes> link_bytes;
+  std::vector<double> link_util;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> node_tx_rx;
+  std::uint64_t vmd_memory_pages = 0;
+  Bytes vmd_free_bytes = 0;
+  bool operator==(const SharedSumState&) const = default;
+};
+
+/// Eight host channels store pages on one VMD server (each store debits the
+/// host→server path through consume_background) in the first window. The
+/// plan then rotates every channel to another lane, and the second window
+/// reads and drops half of each channel's pages there — so with lanes > 1
+/// pages stored on one lane are dropped on another.
+SharedSumState shared_sum_run(std::size_t lanes) {
+  constexpr std::size_t kChannels = 8;
+  constexpr int kPages = 50;
+  LaneRig rig(lanes);
+  LaneCoordinator& c = *rig.coord;
+  net::NetworkConfig net_cfg;
+  net_cfg.topology.kind = net::TopologyKind::kLeafSpine;
+  net_cfg.topology.racks = 2;
+  net_cfg.topology.hosts_per_rack = 4;
+  net::Network net(net_cfg);
+  net.bind_lanes(&c);
+  std::vector<net::NodeId> hosts;
+  for (std::size_t h = 0; h < kChannels; ++h) {
+    hosts.push_back(net.add_node(std::to_string(h),
+                                 static_cast<std::uint32_t>(h / 4)));
+  }
+  const net::NodeId vmd_node = net.add_node("vmd");
+  vmd::VmdServer server("vmd", vmd_node, {}, &c);
+
+  c.ensure_channels(kChannels);
+  for (std::size_t ch = 0; ch < kChannels; ++ch) {
+    for (int k = 0; k < kPages; ++k) {
+      c.schedule(ch, 10 + k, [&net, &server, &hosts, vmd_node, ch] {
+        EXPECT_EQ(server.store_page(), vmd::VmdTier::kMemory);
+        net.consume_background(hosts[ch], vmd_node, kPageSize + 64);
+      });
+    }
+  }
+  c.advance_to(100);
+  net.advance(100);
+
+  std::vector<std::uint32_t> rotated(kChannels);
+  for (std::size_t ch = 0; ch < kChannels; ++ch) {
+    rotated[ch] = static_cast<std::uint32_t>((ch + 1) % lanes);
+  }
+  c.set_plan(rotated);
+  for (std::size_t ch = 0; ch < kChannels; ++ch) {
+    for (int k = 0; k < kPages / 2; ++k) {
+      c.schedule(ch, 110 + k, [&net, &server, &hosts, vmd_node, ch] {
+        net.consume_background(hosts[ch], vmd_node, 96);
+        net.consume_background(vmd_node, hosts[ch], kPageSize + 64);
+        server.drop_page(vmd::VmdTier::kMemory);
+      });
+    }
+  }
+  c.advance_to(200);
+  net.advance(100);
+
+  SharedSumState state;
+  for (net::LinkId l = 0; l < net.link_count(); ++l) {
+    state.link_bytes.push_back(net.link_bytes_total(l));
+    state.link_util.push_back(net.link_utilization(l));
+  }
+  for (net::NodeId n = 0; n < net.node_count(); ++n) {
+    state.node_tx_rx.emplace_back(net.stats(n).tx_bytes, net.stats(n).rx_bytes);
+  }
+  state.vmd_memory_pages = server.memory_pages();
+  state.vmd_free_bytes = server.free_bytes();
+  return state;
+}
+
+TEST(LaneSums, SharedLinksAndVmdServerAreLaneCountInvariant) {
+  const SharedSumState sequential = shared_sum_run(1);
+  EXPECT_EQ(sequential.vmd_memory_pages, 8u * 25u);
+  EXPECT_EQ(sequential.node_tx_rx[0].first,
+            50u * (kPageSize + 64) + 25u * 96u);
+  EXPECT_EQ(shared_sum_run(4), sequential);
+}
+
+TEST(LaneSumsDeath, WriteFromAnotherCoordinatorsLaneDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        LaneRig owner(1);
+        LaneRig other(1);
+        net::Network net;
+        net.bind_lanes(owner.coord.get());
+        const net::NodeId a = net.add_node("a");
+        const net::NodeId b = net.add_node("b");
+        other.coord->ensure_channels(1);
+        other.coord->schedule(0, 10,
+                              [&net, a, b] { net.consume_background(a, b, 1); });
+        other.coord->advance_to(100);
+      },
+      "another coordinator");
 }
 
 TEST(ClusterLanes, RunUntilLandsExactlyOnQuantumEdge) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/bitmap.hpp"
+#include "util/lane_sums.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -540,6 +541,59 @@ TEST(ThreadAnnotations, CondVarWaitReleasesAndReacquires) {
     EXPECT_TRUE(ready);
   }
   producer.join();
+}
+
+TEST(LaneSums, RowsFromSeveralThreadsSumExactly) {
+  constexpr std::size_t kRows = 4;
+  constexpr std::int64_t kAdds = 200000;
+  util::LaneSums<std::int64_t> sums(kRows, 3);
+  std::vector<std::thread> writers;
+  for (std::size_t row = 0; row < kRows; ++row) {
+    // Single writer per row, as a lane's thread is.
+    writers.emplace_back([&sums, row] {
+      for (std::int64_t i = 0; i < kAdds; ++i) {
+        sums.add(row, 0, 1);
+        sums.add(row, 2, static_cast<std::int64_t>(row) + 1);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(sums.sum(0), static_cast<std::int64_t>(kRows) * kAdds);
+  EXPECT_EQ(sums.sum(1), 0);
+  EXPECT_EQ(sums.sum(2), kAdds * (1 + 2 + 3 + 4));
+}
+
+TEST(LaneSums, StoreOnOneLaneDroppedOnAnother) {
+  util::LaneSums<std::int64_t> pages(4, 2);
+  pages.add(1, 0, 1);   // stored on lane 1
+  pages.add(2, 0, -1);  // dropped on lane 2: that row goes negative
+  EXPECT_EQ(pages.sum(0), 0);
+  pages.add(1, 1, 5);
+  pages.add(3, 1, -2);
+  EXPECT_EQ(pages.sum(1), 3);
+  pages.reset();
+  EXPECT_EQ(pages.sum(0), 0);
+  EXPECT_EQ(pages.sum(1), 0);
+}
+
+TEST(LaneSums, ReshapeKeepsColumnTotals) {
+  util::LaneSums<std::int64_t> sums;  // one row, no columns
+  EXPECT_EQ(sums.rows(), 1u);
+  EXPECT_EQ(sums.columns(), 0u);
+  sums.reshape(1, 9);  // columns span two cache lines
+  sums.add(0, 8, 7);
+  sums.reshape(4, 9);
+  sums.add(3, 8, 2);
+  sums.add(2, 0, 1);
+  // Grow the columns (the network adds links as nodes join): totals move to
+  // row 0 and the new column starts at zero.
+  sums.reshape(4, 10);
+  EXPECT_EQ(sums.rows(), 4u);
+  EXPECT_EQ(sums.sum(8), 9);
+  EXPECT_EQ(sums.sum(0), 1);
+  EXPECT_EQ(sums.sum(9), 0);
+  sums.add(1, 8, -9);
+  EXPECT_EQ(sums.sum(8), 0);
 }
 
 }  // namespace
